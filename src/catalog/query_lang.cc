@@ -9,7 +9,7 @@
 #include "obs/history.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/slowlog.h"
+#include "obs/span_store.h"
 #include "obs/trace.h"
 #include "query/executor.h"
 #include "timex/calendar.h"
@@ -166,8 +166,8 @@ class QueryCursor {
   size_t pos_ = 0;
 };
 
-// SHOW SLOW QUERIES [LIMIT n]: the retained ring, oldest first (LIMIT keeps
-// the n most recent), one JSON line per entry plus a summary line.
+// SHOW SLOW QUERIES [LIMIT n]: the span store's slow spans, oldest first
+// (LIMIT keeps the n most recent), one JSON line per span plus a summary.
 Result<QueryOutput> ShowSlowQueries(QueryCursor& cur) {
   QueryOutput out;
   size_t limit = std::numeric_limits<size_t>::max();
@@ -175,17 +175,17 @@ Result<QueryOutput> ShowSlowQueries(QueryCursor& cur) {
     TS_ASSIGN_OR_RETURN(uint64_t n, cur.Number());
     limit = static_cast<size_t>(n);
   }
-  SlowQueryLog& log = SlowQueryLog::Instance();
-  std::vector<SlowQueryEntry> entries = log.Entries();
+  SpanStore& store = SpanStore::Instance();
+  const auto entries = store.Entries(SpanReason::kSlow);
   const size_t begin = entries.size() > limit ? entries.size() - limit : 0;
   std::ostringstream ss;
   for (size_t i = begin; i < entries.size(); ++i) {
-    ss << entries[i].ToJson() << "\n";
+    ss << entries[i]->SlowJson() << "\n";
   }
   ss << (entries.size() - begin) << " slow quer"
      << (entries.size() - begin == 1 ? "y" : "ies") << " shown ("
-     << log.TotalRecorded() << " recorded, threshold "
-     << log.threshold_micros() << "us)\n";
+     << store.TotalKept(SpanReason::kSlow) << " recorded, threshold "
+     << store.threshold_micros() << "us)\n";
   out.report = ss.str();
   return out;
 }
@@ -218,8 +218,8 @@ Result<QueryOutput> ShowFlightRecorder(QueryCursor& cur) {
   return out;
 }
 
-// SHOW TRACES [LIMIT n]: the retained span ring, oldest first (LIMIT keeps
-// the n most recent), one JSON line per span plus a summary.
+// SHOW TRACES [LIMIT n]: the span store's sampled spans, oldest first (LIMIT
+// keeps the n most recent), one JSON line per span plus a summary.
 Result<QueryOutput> ShowTraces(QueryCursor& cur) {
   QueryOutput out;
   size_t limit = std::numeric_limits<size_t>::max();
@@ -227,17 +227,17 @@ Result<QueryOutput> ShowTraces(QueryCursor& cur) {
     TS_ASSIGN_OR_RETURN(uint64_t n, cur.Number());
     limit = static_cast<size_t>(n);
   }
-  RetainedTraces& traces = RetainedTraces::Instance();
-  std::vector<RetainedTrace> entries = traces.Entries();
+  SpanStore& store = SpanStore::Instance();
+  const auto entries = store.Entries(SpanReason::kSampled);
   const size_t begin = entries.size() > limit ? entries.size() - limit : 0;
   std::ostringstream ss;
   for (size_t i = begin; i < entries.size(); ++i) {
-    ss << entries[i].json << "\n";
+    ss << entries[i]->span.ToJson() << "\n";
   }
   ss << (entries.size() - begin) << " trace(s) shown ("
-     << traces.TotalRetained() << " retained of " << traces.TotalSeen()
-     << " seen, ring capacity " << traces.capacity() << ", sampling 1/"
-     << traces.sample_every() << ")\n";
+     << store.TotalKept(SpanReason::kSampled) << " retained of "
+     << store.TotalSeen() << " seen, ring capacity " << store.capacity()
+     << ", sampling 1/" << store.sample_every() << ")\n";
   out.report = ss.str();
   return out;
 }
@@ -594,18 +594,14 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     }
     ObserveLabeledLatency(out.relation, std::move(kind), &trace, query_start);
   })
-  // Feed the slow-query log and the retained-trace ring — unless the span
-  // is server-owned, in which case the server records it at response
-  // completion (so its entry covers queue wait and serialization too, and
-  // the span is not recorded twice).
+  // Offer the span to the span store — unless the span is server-owned, in
+  // which case the server records it at response completion (so its entry
+  // covers queue wait and serialization too, and the span is not recorded
+  // twice).
   const bool server_records =
       external_trace != nullptr && external_trace->server_owned();
-  TS_METRICS_ONLY(if (!server_records && exec_options.trace != nullptr &&
-                      trace.started()) {
-    SlowQueryLog::Instance().Record(trace, statement);
-  })
-  if (!server_records && exec_options.trace != nullptr && trace.started()) {
-    RetainedTraces::Instance().Record(trace);
+  if (!server_records && exec_options.trace != nullptr) {
+    SpanStore::Instance().Record(trace, statement);
   }
   // A cancelled scan abandons morsels, so the collected elements are an
   // arbitrary subset: surface Deadline exceeded rather than a quietly

@@ -24,15 +24,15 @@
 //
 // plus introspection statements over the telemetry plane:
 //
-//   SHOW SLOW QUERIES [LIMIT n]       (the retained slow-query ring, newest
+//   SHOW SLOW QUERIES [LIMIT n]       (the span store's slow spans, newest
 //                                      last, one JSON line per entry)
 //   SHOW SPECIALIZATION <relation>    (declared vs observed kind, Figure-1
 //                                      pane occupancy, drift state)
 //   SHOW FLIGHT RECORDER [LIMIT n]    (the flight-recorder event ring,
 //                                      newest last, one JSON line per event)
-//   SHOW TRACES [LIMIT n]             (the retained trace-span ring, newest
-//                                      last; spans join slowlog entries by
-//                                      trace_id)
+//   SHOW TRACES [LIMIT n]             (the span store's sampled spans,
+//                                      newest last; spans join slowlog
+//                                      entries by trace_id)
 //   SHOW HEALTH                       (every declared SLO re-evaluated now,
 //                                      one JSON verdict per objective)
 //   SHOW HISTORY [LIMIT n]            (the metrics time-series ring, newest
@@ -42,8 +42,8 @@
 // span as single-line JSON in QueryOutput::trace_json (strategy, counters,
 // pages touched, per-stage timings) instead of the result rows. In a
 // TEMPSPEC_METRICS tree every executed statement additionally carries a
-// span that feeds the process-wide SlowQueryLog when its wall time crosses
-// the slowlog threshold.
+// span that is offered to the process-wide span store (obs/span_store.h),
+// which keeps it as slow when its wall time crosses the slowlog threshold.
 //
 // Time literals are single-quoted "YYYY-MM-DD[ HH:MM[:SS[.ffffff]]]".
 #ifndef TEMPSPEC_CATALOG_QUERY_LANG_H_

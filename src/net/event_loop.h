@@ -80,7 +80,8 @@ class EventLoop {
   /// \brief Runs the loop on the calling thread until Stop().
   void Run();
 
-  /// \brief Asks the loop to exit; thread-safe, returns immediately.
+  /// \brief Asks the loop to exit; thread-safe, returns immediately. A
+  /// Stop() issued before Run() makes Run() return at once; Init() clears it.
   void Stop();
 
   /// \brief True when called from the thread currently inside Run().

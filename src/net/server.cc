@@ -12,7 +12,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/slowlog.h"
+#include "obs/span_store.h"
 
 namespace tempspec {
 
@@ -630,8 +630,8 @@ void NetServer::CompleteStatement(const std::shared_ptr<Connection>& conn,
     }
   }
 
-  // Finalize and record the server-owned request span — the slowlog and
-  // retained-trace entry other planes join by trace id. Recorded even for a
+  // Finalize and record the server-owned request span into the span store,
+  // where other planes join it by trace id. Recorded even for a
   // disconnected client: the work happened.
   if (trace != nullptr && trace->started()) {
     trace->AddStage(
@@ -640,8 +640,7 @@ void NetServer::CompleteStatement(const std::shared_ptr<Connection>& conn,
     trace->SetAttr("outcome",
                    status.ok() ? "ok" : StatusCodeToString(status.code()));
     trace->End();
-    TS_METRICS_ONLY({ SlowQueryLog::Instance().Record(*trace, statement); });
-    RetainedTraces::Instance().Record(*trace);
+    SpanStore::Instance().Record(*trace, statement);
   }
 
   if (disconnected || conn->closed) return;

@@ -201,8 +201,8 @@ class NetServer {
                          const WireTraceInfo& wire, bool is_http,
                          bool http_keep_alive);
   /// \brief Response write + request-span finalization: ends the
-  /// server-owned span and records it into the slowlog/retained ring (the
-  /// statement text rides along for the slowlog entry).
+  /// server-owned span and records it into the span store (the statement
+  /// text rides along for the slow-query view).
   void CompleteStatement(const std::shared_ptr<Connection>& conn,
                          const std::shared_ptr<TraceContext>& trace,
                          const std::string& statement, const Status& status,

@@ -8,7 +8,7 @@
 #include "obs/history.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 
 namespace tempspec {
 
@@ -55,12 +55,13 @@ void RegisterTelemetryEndpoints(NetServer* server) {
   server->AddHttpHandler(
       "/debug/traces",
       [](const HttpRequest&, NetServer::HttpResponse* response) {
-        // The retained span ring, one JSON object per line (oldest first).
+        // The sampled spans, one JSON object per line (oldest first).
         std::string body;
-        for (const RetainedTrace& t : RetainedTraces::Instance().Entries()) {
-          body += "{\"trace_id\":" + std::to_string(t.trace_id) +
-                  ",\"unix_micros\":" + std::to_string(t.unix_micros) +
-                  ",\"trace\":" + t.json + "}\n";
+        for (const auto& t :
+             SpanStore::Instance().Entries(SpanReason::kSampled)) {
+          body += "{\"trace_id\":" + std::to_string(t->span.trace_id) +
+                  ",\"unix_micros\":" + std::to_string(t->unix_micros) +
+                  ",\"trace\":" + t->span.ToJson() + "}\n";
         }
         response->body = std::move(body);
       });

@@ -5,7 +5,7 @@
 //   /varz          — {"build":..., "metrics":...} JSON snapshot
 //   /healthz       — "ok" liveness probe
 //   /debug/events  — the flight-recorder ring as JSONL
-//   /debug/traces  — the retained trace spans as JSONL
+//   /debug/traces  — the span store's sampled spans as JSONL
 //
 // Handlers run on the event-loop thread and only snapshot in-process
 // registries, so they stay responsive even when every worker is busy —

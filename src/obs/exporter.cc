@@ -9,8 +9,7 @@
 #include "net/server.h"
 #include "net/telemetry_endpoints.h"
 #include "obs/flight_recorder.h"
-#include "obs/slowlog.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 
 namespace tempspec {
 
@@ -209,8 +208,7 @@ void TelemetryExporter::WriteSnapshots() {
 }
 
 std::unique_ptr<TelemetryExporter> TelemetryExporter::MaybeStartFromEnv() {
-  SlowQueryLog::Instance().ConfigureFromEnv();
-  RetainedTraces::Instance().ConfigureFromEnv();
+  SpanStore::Instance().ConfigureFromEnv();
   FlightRecorder::MaybeInstallFromEnv();
   const char* port_env = GetEnv("TEMPSPEC_EXPORTER_PORT");
   if (port_env == nullptr || *port_env == '\0') return nullptr;

@@ -14,7 +14,8 @@
 //                    live processes are never compared across unlike trees
 //   /healthz       — "ok" (liveness; serves even when the registry is empty)
 //   /debug/events  — the flight-recorder ring as JSONL (obs/flight_recorder.h)
-//   /debug/traces  — the retained trace spans as JSONL (obs/trace.h)
+//   /debug/traces  — the span store's sampled spans as JSONL
+//                    (obs/span_store.h)
 //   /debug/health  — declared SLOs re-evaluated now, as JSON (obs/slo.h)
 //   /metrics/history — the metrics time-series ring as JSONL (obs/history.h)
 //
@@ -106,7 +107,7 @@ class TelemetryExporter {
   /// Honors TEMPSPEC_EXPORTER_ADDR (bind address), TEMPSPEC_EXPORTER_PORTFILE
   /// (writes the bound port to this path — how scripts find an ephemeral
   /// port), TEMPSPEC_EXPORTER_SNAPSHOT and TEMPSPEC_EXPORTER_SNAPSHOT_MS
-  /// (periodic JSONL writer). Also applies SlowQueryLog::ConfigureFromEnv()
+  /// (periodic JSONL writer). Also applies SpanStore::ConfigureFromEnv()
   /// so one call turns a binary into a full telemetry endpoint. On Start
   /// failure prints to stderr and returns null (telemetry must never take
   /// the host process down).

@@ -9,8 +9,8 @@
 // doubles as the SLO watchdog's heartbeat (tools/tempspec_serve passes the
 // watchdog evaluation as the per-sample hook).
 //
-// Like the slowlog and retained-trace rings this is mutex-guarded: sampling
-// happens every few seconds, never on a query path.
+// Like the span store this is mutex-guarded: sampling happens every few
+// seconds, never on a query path.
 #ifndef TEMPSPEC_OBS_HISTORY_H_
 #define TEMPSPEC_OBS_HISTORY_H_
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 
@@ -29,12 +28,12 @@ void TraceContext::Begin(std::string name) {
     SetAttr("inner_span", std::move(name));
     return;
   }
-  name_ = std::move(name);
-  trace_id_ = NextTraceId();
+  fields_.name = std::move(name);
+  fields_.trace_id = NextTraceId();
   nest_depth_ = 0;
   started_ = true;
   ended_ = false;
-  wall_micros_ = 0;
+  fields_.wall_micros = 0;
   start_ = std::chrono::steady_clock::now();
 }
 
@@ -45,63 +44,63 @@ void TraceContext::End() {
     return;
   }
   ended_ = true;
-  wall_micros_ = MicrosSince(start_);
+  fields_.wall_micros = MicrosSince(start_);
 }
 
 void TraceContext::SetWireTrace(uint64_t hi, uint64_t lo,
                                 uint64_t parent_span_id) {
-  wire_trace_hi_ = hi;
-  wire_trace_lo_ = lo;
-  parent_span_id_ = parent_span_id;
-  wire_trace_set_ = true;
+  fields_.wire_trace_hi = hi;
+  fields_.wire_trace_lo = lo;
+  fields_.parent_span_id = parent_span_id;
+  fields_.wire_trace_set = true;
 }
 
-std::string TraceContext::WireTraceId() const {
-  if (!wire_trace_set_) return "";
+std::string SpanFields::WireTraceId() const {
+  if (!wire_trace_set) return "";
   char buf[33];
   std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                static_cast<unsigned long long>(wire_trace_hi_),
-                static_cast<unsigned long long>(wire_trace_lo_));
+                static_cast<unsigned long long>(wire_trace_hi),
+                static_cast<unsigned long long>(wire_trace_lo));
   return std::string(buf);
 }
 
 void TraceContext::SetAttr(const std::string& key, std::string value) {
-  for (auto& [k, v] : attrs_) {
+  for (auto& [k, v] : fields_.attrs) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  attrs_.emplace_back(key, std::move(value));
+  fields_.attrs.emplace_back(key, std::move(value));
 }
 
 void TraceContext::AddCounter(const std::string& key, uint64_t n) {
-  for (auto& [k, v] : counters_) {
+  for (auto& [k, v] : fields_.counters) {
     if (k == key) {
       v += n;
       return;
     }
   }
-  counters_.emplace_back(key, n);
+  fields_.counters.emplace_back(key, n);
 }
 
 uint64_t TraceContext::counter(const std::string& key) const {
-  for (const auto& [k, v] : counters_) {
+  for (const auto& [k, v] : fields_.counters) {
     if (k == key) return v;
   }
   return 0;
 }
 
-const std::string& TraceContext::attr(const std::string& key) const {
+const std::string& SpanFields::attr(const std::string& key) const {
   static const std::string kEmpty;
-  for (const auto& [k, v] : attrs_) {
+  for (const auto& [k, v] : attrs) {
     if (k == key) return v;
   }
   return kEmpty;
 }
 
 void TraceContext::AddStage(std::string name, uint64_t micros) {
-  stages_.push_back(TraceStage{std::move(name), micros});
+  fields_.stages.push_back(TraceStage{std::move(name), micros});
 }
 
 void TraceContext::ArmDeadline(std::chrono::steady_clock::time_point deadline) {
@@ -151,34 +150,37 @@ std::string TraceContext::ToJson() const {
   // A span being serialized is done; finalize the clock without forcing
   // every caller to remember End().
   const_cast<TraceContext*>(this)->End();
+  return fields_.ToJson();
+}
 
-  std::string out = "{\"span\":\"" + JsonEscape(name_) + "\"";
-  out += ",\"trace_id\":" + std::to_string(trace_id_);
-  if (wire_trace_set_) {
+std::string SpanFields::ToJson() const {
+  std::string out = "{\"span\":\"" + JsonEscape(name) + "\"";
+  out += ",\"trace_id\":" + std::to_string(trace_id);
+  if (wire_trace_set) {
     char span_hex[17];
     std::snprintf(span_hex, sizeof(span_hex), "%016llx",
-                  static_cast<unsigned long long>(parent_span_id_));
+                  static_cast<unsigned long long>(parent_span_id));
     out += ",\"wire_trace\":\"" + WireTraceId() + "\"";
     out += ",\"parent_span\":\"" + std::string(span_hex) + "\"";
   }
-  out += ",\"wall_micros\":" + std::to_string(wall_micros_);
+  out += ",\"wall_micros\":" + std::to_string(wall_micros);
   out += ",\"attrs\":{";
   bool first = true;
-  for (const auto& [k, v] : attrs_) {
+  for (const auto& [k, v] : attrs) {
     if (!first) out += ",";
     first = false;
     out += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
   }
   out += "},\"counters\":{";
   first = true;
-  for (const auto& [k, v] : counters_) {
+  for (const auto& [k, v] : counters) {
     if (!first) out += ",";
     first = false;
     out += "\"" + JsonEscape(k) + "\":" + std::to_string(v);
   }
   out += "},\"stages\":[";
   first = true;
-  for (const TraceStage& s : stages_) {
+  for (const TraceStage& s : stages) {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"" + JsonEscape(s.name) +
@@ -186,98 +188,6 @@ std::string TraceContext::ToJson() const {
   }
   out += "]}";
   return out;
-}
-
-RetainedTraces& RetainedTraces::Instance() {
-  static RetainedTraces* traces = new RetainedTraces();  // process lifetime
-  return *traces;
-}
-
-void RetainedTraces::SetCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-  if (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<ptrdiff_t>(ring_.size() - capacity_));
-  }
-}
-
-size_t RetainedTraces::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-void RetainedTraces::SetSampleEvery(uint64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sample_every_ = n;
-}
-
-uint64_t RetainedTraces::sample_every() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sample_every_;
-}
-
-void RetainedTraces::ConfigureFromEnv() {
-  if (const char* v = std::getenv("TEMPSPEC_TRACE_CAPACITY")) {
-    if (*v != '\0') {
-      char* end = nullptr;
-      unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) SetCapacity(static_cast<size_t>(parsed));
-    }
-  }
-  if (const char* v = std::getenv("TEMPSPEC_TRACE_SAMPLE")) {
-    if (*v != '\0') {
-      char* end = nullptr;
-      unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end != v) SetSampleEvery(static_cast<uint64_t>(parsed));
-    }
-  }
-}
-
-void RetainedTraces::Record(TraceContext& trace) {
-  if (!trace.started()) return;
-  trace.End();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++seen_;
-  if (sample_every_ == 0 || (seen_ - 1) % sample_every_ != 0) return;
-  if (capacity_ == 0) return;
-  RetainedTrace entry;
-  entry.trace_id = trace.trace_id();
-  entry.unix_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-  entry.span = trace.name();
-  entry.json = trace.ToJson();
-  if (ring_.size() >= capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() +
-                    static_cast<ptrdiff_t>(ring_.size() - capacity_ + 1));
-  }
-  ring_.push_back(std::move(entry));
-  ++retained_;
-}
-
-std::vector<RetainedTrace> RetainedTraces::Entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_;
-}
-
-uint64_t RetainedTraces::TotalSeen() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seen_;
-}
-
-uint64_t RetainedTraces::TotalRetained() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_;
-}
-
-void RetainedTraces::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  seen_ = 0;
-  retained_ = 0;
 }
 
 }  // namespace tempspec

@@ -7,8 +7,8 @@
 // query, how many elements it examined vs returned, how many buffer-pool
 // pages it touched, and how long each stage took. query_lang's EXPLAIN
 // ANALYZE surfaces the span as single-line JSON; completed spans are also
-// sampled into the RetainedTraces ring below, so recent spans survive after
-// the query returns and are joinable from slowlog entries by trace id.
+// offered to the span store (obs/span_store.h), so recent and slow spans
+// survive after the query returns, joinable by trace id.
 //
 // Unlike the TS_* metric macros, tracing is a runtime opt-in rather than a
 // compile-time one: a query with no attached context pays only a null-pointer
@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +30,34 @@ namespace tempspec {
 struct TraceStage {
   std::string name;
   uint64_t micros = 0;
+};
+
+/// \brief What a span records and ToJson() prints. Plain copyable data, so
+/// the span store keeps a finished span as these fields and serializes it
+/// only when read.
+struct SpanFields {
+  std::string name;
+  uint64_t trace_id = 0;
+  uint64_t wire_trace_hi = 0;
+  uint64_t wire_trace_lo = 0;
+  uint64_t parent_span_id = 0;
+  bool wire_trace_set = false;
+  uint64_t wall_micros = 0;
+  std::vector<std::pair<std::string, std::string>> attrs;
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  std::vector<TraceStage> stages;
+
+  /// \brief Attribute value, "" when absent.
+  const std::string& attr(const std::string& key) const;
+  /// \brief The 128-bit wire trace id as 32 lowercase hex chars ("" when
+  /// unset).
+  std::string WireTraceId() const;
+  /// \brief Single-line JSON:
+  /// {"span":"query.timeslice","trace_id":N,"wall_micros":N,
+  ///  "attrs":{"strategy":"valid_index",...},
+  ///  "counters":{"elements_examined":N,...},
+  ///  "stages":[{"name":"plan","micros":N},...]}
+  std::string ToJson() const;
 };
 
 /// \brief A single query's trace span. Not thread-safe: one context belongs
@@ -59,12 +86,13 @@ class TraceContext {
   void End();
 
   bool started() const { return started_; }
-  const std::string& name() const { return name_; }
-  uint64_t wall_micros() const { return wall_micros_; }
+  const std::string& name() const { return fields_.name; }
+  uint64_t wall_micros() const { return fields_.wall_micros; }
   /// \brief Process-unique id, assigned by Begin() (0 before). Stamped into
-  /// ToJson() and slow-query entries so a slow query joins to its retained
-  /// span in /debug/traces.
-  uint64_t trace_id() const { return trace_id_; }
+  /// ToJson(), so a slow-query line joins to its span in /debug/traces.
+  uint64_t trace_id() const { return fields_.trace_id; }
+  /// \brief Everything ToJson() prints, for the span store to keep.
+  const SpanFields& fields() const { return fields_; }
 
   // -- Wire trace identity (distributed tracing) -----------------------------
 
@@ -73,16 +101,12 @@ class TraceContext {
   /// as "wire_trace"/"parent_span" so slowlog entries, retained traces, and
   /// EXPLAIN ANALYZE output all join to the client-observed request.
   void SetWireTrace(uint64_t hi, uint64_t lo, uint64_t parent_span_id);
-  bool has_wire_trace() const { return wire_trace_set_; }
-  uint64_t wire_trace_hi() const { return wire_trace_hi_; }
-  uint64_t wire_trace_lo() const { return wire_trace_lo_; }
-  uint64_t parent_span_id() const { return parent_span_id_; }
   /// \brief The 128-bit id as 32 lowercase hex chars ("" when unset).
-  std::string WireTraceId() const;
+  std::string WireTraceId() const { return fields_.WireTraceId(); }
 
   /// \brief Marks the span as owned by the network server, which records it
-  /// into the slowlog/retained ring at response completion — query_lang must
-  /// then not record the same span a second time mid-request.
+  /// into the span store at response completion — query_lang must then not
+  /// record the same span a second time mid-request.
   void SetServerOwned(bool owned) { server_owned_ = owned; }
   bool server_owned() const { return server_owned_; }
 
@@ -93,11 +117,13 @@ class TraceContext {
   /// \brief Counter value, 0 when absent.
   uint64_t counter(const std::string& key) const;
   /// \brief Attribute value, "" when absent.
-  const std::string& attr(const std::string& key) const;
+  const std::string& attr(const std::string& key) const {
+    return fields_.attr(key);
+  }
 
   /// \brief Records a completed stage duration.
   void AddStage(std::string name, uint64_t micros);
-  const std::vector<TraceStage>& stages() const { return stages_; }
+  const std::vector<TraceStage>& stages() const { return fields_.stages; }
 
   // -- Deadline & cancellation (thread-safe, unlike the rest of the span) ----
 
@@ -131,91 +157,21 @@ class TraceContext {
     std::chrono::steady_clock::time_point start_;
   };
 
-  /// \brief Single-line JSON:
-  /// {"span":"query.timeslice","trace_id":N,"wall_micros":N,
-  ///  "attrs":{"strategy":"valid_index",...},
-  ///  "counters":{"elements_examined":N,...},
-  ///  "stages":[{"name":"plan","micros":N},...]}
+  /// \brief SpanFields::ToJson() of the span, ending it first.
   std::string ToJson() const;
 
  private:
-  std::string name_;
-  uint64_t trace_id_ = 0;
-  uint64_t wire_trace_hi_ = 0;
-  uint64_t wire_trace_lo_ = 0;
-  uint64_t parent_span_id_ = 0;
-  bool wire_trace_set_ = false;
+  SpanFields fields_;
   bool server_owned_ = false;
   int nest_depth_ = 0;
   bool started_ = false;
   bool ended_ = false;
   std::chrono::steady_clock::time_point start_;
-  uint64_t wall_micros_ = 0;
   /// Cancellation state: a sticky flag plus an armed deadline as
   /// steady-clock nanoseconds since epoch (0 = no deadline). Atomics so the
   /// server's event loop can cancel a query the worker is executing.
   std::atomic<bool> cancel_{false};
   std::atomic<int64_t> deadline_nanos_{0};
-  std::vector<std::pair<std::string, std::string>> attrs_;
-  std::vector<std::pair<std::string, uint64_t>> counters_;
-  std::vector<TraceStage> stages_;
-};
-
-/// \brief One retained completed span.
-struct RetainedTrace {
-  uint64_t trace_id = 0;
-  uint64_t unix_micros = 0;  // retention time
-  std::string span;          // span name (e.g. "background.vacuum")
-  std::string json;          // TraceContext::ToJson() of the completed span
-};
-
-/// \brief Sampled retention ring for completed spans, so recent query and
-/// background spans outlive the work that produced them. Mutex-guarded like
-/// the slowlog — retention happens at most once per span, never on a
-/// per-element path.
-class RetainedTraces {
- public:
-  /// \brief Process-wide instance (fed by query_lang and background work,
-  /// read by /debug/traces and SHOW TRACES). Tests use free instances.
-  static RetainedTraces& Instance();
-
-  explicit RetainedTraces(size_t capacity = 128, uint64_t sample_every = 1)
-      : capacity_(capacity), sample_every_(sample_every) {}
-
-  /// \brief Ring capacity; shrinking drops the oldest spans.
-  void SetCapacity(size_t capacity);
-  size_t capacity() const;
-
-  /// \brief Keeps 1 of every n completed spans (1 = keep all, 0 = disable
-  /// retention entirely).
-  void SetSampleEvery(uint64_t n);
-  uint64_t sample_every() const;
-
-  /// \brief Applies TEMPSPEC_TRACE_CAPACITY / TEMPSPEC_TRACE_SAMPLE when
-  /// set (called by TelemetryExporter::MaybeStartFromEnv).
-  void ConfigureFromEnv();
-
-  /// \brief Considers one completed span (ends it if the caller has not)
-  /// and retains it when the sampler selects it.
-  void Record(TraceContext& trace);
-
-  /// \brief The retained spans, oldest first.
-  std::vector<RetainedTrace> Entries() const;
-
-  /// \brief Completed spans offered / actually retained.
-  uint64_t TotalSeen() const;
-  uint64_t TotalRetained() const;
-
-  /// \brief Empties the ring and resets the sampler (tests).
-  void Clear();
-
- private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  uint64_t sample_every_;
-  uint64_t seen_ = 0;
-  uint64_t retained_ = 0;
-  std::vector<RetainedTrace> ring_;  // oldest first
 };
 
 }  // namespace tempspec

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 
 namespace tempspec {
 
@@ -360,7 +360,7 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
       snapshots_->Refresh();
     }
   }
-  RetainedTraces::Instance().Record(span);
+  SpanStore::Instance().Record(span);
   return removed;
 }
 

@@ -4,7 +4,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 #include "storage/page.h"
 #include "storage/serde.h"
 
@@ -58,7 +58,7 @@ Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(Options options) {
   if (options.directory.empty()) return store;
 
   // Recovery is a background span: its stage timings (page scan vs WAL
-  // replay) and recovered counts land in the retained-trace ring, and the
+  // replay) and recovered counts land in the span store, and the
   // recovery milestones land in the flight recorder.
   TraceContext span;
   span.Begin("background.recovery");
@@ -118,7 +118,7 @@ Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(Options options) {
   span.AddCounter("recovered_entries", store->entries_.size());
   span.AddCounter("persisted_entries", store->persisted_entries_);
   span.AddCounter("wal_replayed", replayed_count);
-  RetainedTraces::Instance().Record(span);
+  SpanStore::Instance().Record(span);
   return store;
 }
 
@@ -375,7 +375,7 @@ Status BacklogStore::Checkpoint() {
   span.AddCounter("pending_entries", pending);
   span.AddCounter("persisted_entries", persisted_entries_);
   span.SetAttr("status", st.ok() ? "ok" : "error");
-  RetainedTraces::Instance().Record(span);
+  SpanStore::Instance().Record(span);
   return st;
 }
 

@@ -4,7 +4,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/slowlog.h"
+#include "obs/span_store.h"
 #include "testing.h"
 #include "timex/calendar.h"
 
@@ -104,7 +104,7 @@ TEST_F(QueryLangTest, ExplainOnly) {
 }
 
 TEST_F(QueryLangTest, ShowSlowQueries) {
-  SlowQueryLog& log = SlowQueryLog::Instance();
+  SpanStore& log = SpanStore::Instance();
   log.Clear();
   log.SetThresholdMicros(0);  // record every executed statement
   ASSERT_OK(ExecuteQuery(catalog_, "CURRENT samples").status());

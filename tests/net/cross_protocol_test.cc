@@ -14,7 +14,7 @@
 #include "net/client.h"
 #include "net/net_test_client.h"
 #include "net/server.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 #include "testing.h"
 #include "workload/tenant_driver.h"
 
@@ -206,7 +206,7 @@ TEST_F(CrossProtocolTest, ClientTraceIdJoinsServerSpansOnBothProtocols) {
                     "GRANULARITY 1s",
                     nullptr)
                 .status());
-  RetainedTraces::Instance().Clear();
+  SpanStore::Instance().Clear();
 
   for (ClientProtocol protocol :
        {ClientProtocol::kHttp, ClientProtocol::kTsp1}) {
@@ -224,10 +224,11 @@ TEST_F(CrossProtocolTest, ClientTraceIdJoinsServerSpansOnBothProtocols) {
     // response is written, so poll briefly.
     std::string span_json;
     ASSERT_TRUE(testing::WaitFor([&] {
-      for (const RetainedTrace& entry : RetainedTraces::Instance().Entries()) {
-        if (entry.json.find("\"wire_trace\":\"" + wire_id + "\"") !=
+      for (const auto& entry :
+           SpanStore::Instance().Entries(SpanReason::kSampled)) {
+        if (entry->span.ToJson().find("\"wire_trace\":\"" + wire_id + "\"") !=
             std::string::npos) {
-          span_json = entry.json;
+          span_json = entry->span.ToJson();
           return true;
         }
       }
@@ -285,15 +286,16 @@ TEST_F(CrossProtocolTest, MalformedTraceHeaderNeverFailsTheRequest) {
   EXPECT_EQ(bare.code, 200);
 
   // A well-formed header on the same raw connection is adopted verbatim.
-  RetainedTraces::Instance().Clear();
+  SpanStore::Instance().Clear();
   const std::string wire_id = "0123456789abcdef0123456789abcdef";
   TestClient::HttpReply traced = http.PostQuery(
       "CURRENT xp", "X-Tempspec-Trace: " + wire_id + "-0011223344556677\r\n");
   ASSERT_TRUE(traced.ok);
   EXPECT_EQ(traced.code, 200);
   EXPECT_TRUE(testing::WaitFor([&] {
-    for (const RetainedTrace& entry : RetainedTraces::Instance().Entries()) {
-      if (entry.json.find("\"wire_trace\":\"" + wire_id + "\"") !=
+    for (const auto& entry :
+           SpanStore::Instance().Entries(SpanReason::kSampled)) {
+      if (entry->span.ToJson().find("\"wire_trace\":\"" + wire_id + "\"") !=
           std::string::npos) {
         return true;
       }

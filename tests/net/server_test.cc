@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/net_test_client.h"
 #include "testing.h"
@@ -26,6 +27,24 @@ using namespace std::chrono_literals;
 using testing::QueryFrame;
 using testing::TestClient;
 using testing::WaitFor;
+
+// A server stopped right after Start() calls EventLoop::Stop() before its
+// loop thread may have entered Run(); that stop request must not be lost,
+// or Stop() waits forever on the loop thread.
+TEST(EventLoopTest, StopBeforeRunIsNotLost) {
+  EventLoop loop;
+  ASSERT_OK(loop.Init());
+  loop.Stop();
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.Run();
+    returned.store(true);
+  });
+  const bool ended = WaitFor([&] { return returned.load(); });
+  if (!ended) loop.Stop();  // unblock the runner so the test can finish
+  runner.join();
+  EXPECT_TRUE(ended) << "Run() ignored a Stop() issued before it started";
+}
 
 class NetServerTest : public ::testing::Test {
  protected:

@@ -19,7 +19,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 #include "testing.h"
 #include "testing_json.h"
 
@@ -214,7 +214,7 @@ TEST_F(ExporterServerTest, DebugEventsServesTheFlightRing) {
 TEST_F(ExporterServerTest, DebugTracesServesRetainedSpans) {
   TraceContext span;
   span.Begin("exporter.test.span");
-  RetainedTraces::Instance().Record(span);
+  SpanStore::Instance().Record(span);
   const std::string response = HttpGet(exporter_->port(), "/debug/traces");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   const std::string body = Body(response);

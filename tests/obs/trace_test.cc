@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "obs/span_store.h"
 #include "testing.h"
 #include "testing_json.h"
 
@@ -119,7 +120,7 @@ TEST(TraceTest, TraceIdsAreProcessUniqueAndNonzero) {
 }
 
 TEST(RetainedTracesTest, RetainsCompletedSpans) {
-  RetainedTraces ring(4, 1);
+  SpanStore ring(4, 1);
   TraceContext span;
   span.Begin("background.vacuum");
   span.AddCounter("elements_dropped", 3);
@@ -128,76 +129,76 @@ TEST(RetainedTracesTest, RetainsCompletedSpans) {
   TraceContext never_started;
   ring.Record(never_started);  // no Begin: must be ignored, not retained
 
-  const std::vector<RetainedTrace> entries = ring.Entries();
+  const auto entries = ring.Entries(SpanReason::kSampled);
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].span, "background.vacuum");
-  EXPECT_EQ(entries[0].trace_id, span.trace_id());
-  EXPECT_GT(entries[0].unix_micros, 0u);
+  EXPECT_EQ(entries[0]->span.name, "background.vacuum");
+  EXPECT_EQ(entries[0]->span.trace_id, span.trace_id());
+  EXPECT_GT(entries[0]->unix_micros, 0u);
   ASSERT_OK_AND_ASSIGN(testing::JsonValue v,
-                       testing::JsonParser::Parse(entries[0].json));
+                       testing::JsonParser::Parse(entries[0]->span.ToJson()));
   EXPECT_EQ(v.at("span").string, "background.vacuum");
   EXPECT_EQ(v.at("counters").at("elements_dropped").number, "3");
   EXPECT_EQ(ring.TotalSeen(), 1u);
-  EXPECT_EQ(ring.TotalRetained(), 1u);
+  EXPECT_EQ(ring.TotalKept(SpanReason::kSampled), 1u);
 }
 
 TEST(RetainedTracesTest, CapacityEvictsOldest) {
-  RetainedTraces ring(2, 1);
+  SpanStore ring(2, 1);
   for (const char* name : {"a", "b", "c"}) {
     TraceContext span;
     span.Begin(name);
     ring.Record(span);
   }
-  std::vector<RetainedTrace> entries = ring.Entries();
+  auto entries = ring.Entries(SpanReason::kSampled);
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].span, "b");
-  EXPECT_EQ(entries[1].span, "c");
+  EXPECT_EQ(entries[0]->span.name, "b");
+  EXPECT_EQ(entries[1]->span.name, "c");
 
   ring.SetCapacity(1);  // shrinking drops the oldest resident span
-  entries = ring.Entries();
+  entries = ring.Entries(SpanReason::kSampled);
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].span, "c");
+  EXPECT_EQ(entries[0]->span.name, "c");
 }
 
 TEST(RetainedTracesTest, SamplerKeepsOneOfEveryN) {
-  RetainedTraces ring(8, 2);
+  SpanStore ring(8, 2);
   for (int i = 0; i < 4; ++i) {
     TraceContext span;
     span.Begin("s" + std::to_string(i));
     ring.Record(span);
   }
-  const std::vector<RetainedTrace> entries = ring.Entries();
+  const auto entries = ring.Entries(SpanReason::kSampled);
   ASSERT_EQ(entries.size(), 2u) << "1 of every 2 spans retained";
-  EXPECT_EQ(entries[0].span, "s0");
-  EXPECT_EQ(entries[1].span, "s2");
+  EXPECT_EQ(entries[0]->span.name, "s0");
+  EXPECT_EQ(entries[1]->span.name, "s2");
   EXPECT_EQ(ring.TotalSeen(), 4u);
-  EXPECT_EQ(ring.TotalRetained(), 2u);
+  EXPECT_EQ(ring.TotalKept(SpanReason::kSampled), 2u);
 
   ring.SetSampleEvery(0);  // 0 disables retention entirely
   TraceContext span;
   span.Begin("dropped");
   ring.Record(span);
   EXPECT_EQ(ring.TotalSeen(), 5u);
-  EXPECT_EQ(ring.Entries().size(), 2u);
+  EXPECT_EQ(ring.Entries(SpanReason::kSampled).size(), 2u);
 }
 
 TEST(RetainedTracesTest, ClearResetsRingAndSampler) {
-  RetainedTraces ring(8, 2);
+  SpanStore ring(8, 2);
   for (int i = 0; i < 3; ++i) {
     TraceContext span;
     span.Begin("x");
     ring.Record(span);
   }
   ring.Clear();
-  EXPECT_EQ(ring.Entries().size(), 0u);
+  EXPECT_EQ(ring.Entries(SpanReason::kSampled).size(), 0u);
   EXPECT_EQ(ring.TotalSeen(), 0u);
-  EXPECT_EQ(ring.TotalRetained(), 0u);
+  EXPECT_EQ(ring.TotalKept(SpanReason::kSampled), 0u);
   // The sampler phase restarts: the next span is the "first" again.
   TraceContext span;
   span.Begin("fresh");
   ring.Record(span);
-  ASSERT_EQ(ring.Entries().size(), 1u);
-  EXPECT_EQ(ring.Entries()[0].span, "fresh");
+  ASSERT_EQ(ring.Entries(SpanReason::kSampled).size(), 1u);
+  EXPECT_EQ(ring.Entries(SpanReason::kSampled)[0]->span.name, "fresh");
 }
 
 }  // namespace

@@ -31,6 +31,12 @@
 //                           (TEMPSPEC_SERVE_SLO); surfaced via
 //                           /debug/health and SHOW HEALTH
 //
+// Every request span is offered to the span store (obs/span_store.h):
+// TEMPSPEC_SLOWLOG_MICROS and TEMPSPEC_SLOWLOG_PATH set its slow view (SHOW
+// SLOW QUERIES, the JSONL sink), TEMPSPEC_TRACE_SAMPLE its sampled view
+// (SHOW TRACES, /debug/traces), and TEMPSPEC_TRACE_CAPACITY the spans kept
+// per view.
+//
 // SIGINT/SIGTERM stop the daemon gracefully: in-flight statements are
 // cancelled through their deadlines' TraceContexts, completions drain, and
 // the storage layer is left consistent. TEMPSPEC_FLIGHT_DUMP=path installs
@@ -50,8 +56,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/history.h"
 #include "obs/slo.h"
-#include "obs/slowlog.h"
-#include "obs/trace.h"
+#include "obs/span_store.h"
 
 namespace {
 
@@ -152,10 +157,10 @@ int main(int argc, char** argv) {
   ServeConfig config;
   if (!ParseArgs(argc, argv, &config)) return 2;
 
-  // The telemetry plane shares this process: slowlog thresholds, trace
-  // retention, and the fatal-signal flight dump all honor their usual env.
-  tempspec::SlowQueryLog::Instance().ConfigureFromEnv();
-  tempspec::RetainedTraces::Instance().ConfigureFromEnv();
+  // The telemetry plane shares this process: the span store's slow
+  // threshold and retention, and the fatal-signal flight dump all honor
+  // their usual env.
+  tempspec::SpanStore::Instance().ConfigureFromEnv();
   tempspec::FlightRecorder::MaybeInstallFromEnv();
 
   // The health plane: declared objectives plus the sampler thread that
