@@ -617,21 +617,25 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
 
 std::string QueryOutput::ToString() const {
   if (!report.empty()) return report;
-  std::ostringstream ss;
-  if (!plan_description.empty()) ss << "plan: " << plan_description << "\n";
-  if (explain_only) return ss.str();
+  std::string out;
+  if (!plan_description.empty()) {
+    out.append("plan: ").append(plan_description).push_back('\n');
+  }
+  if (explain_only) return out;
   if (analyze) {
-    ss << "trace: " << trace_json << "\n";
-    ss << elements.size() << " element(s), " << stats.elements_examined
-       << " examined\n";
-    return ss.str();
+    out.append("trace: ").append(trace_json).push_back('\n');
+  } else {
+    for (const Element& e : elements) {
+      out.append("  ");
+      e.AppendTo(&out);
+      out.push_back('\n');
+    }
   }
-  for (const Element& e : elements) {
-    ss << "  " << e.ToString() << "\n";
-  }
-  ss << elements.size() << " element(s), " << stats.elements_examined
-     << " examined\n";
-  return ss.str();
+  AppendDecimal(elements.size(), &out);
+  out.append(" element(s), ");
+  AppendDecimal(stats.elements_examined, &out);
+  out.append(" examined\n");
+  return out;
 }
 
 }  // namespace tempspec

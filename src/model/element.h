@@ -65,10 +65,10 @@ class ValidTime {
     return is_event_ ? begin_ == tp : (begin_ <= tp && tp < end_);
   }
 
-  std::string ToString() const {
-    if (is_event_) return begin_.ToString();
-    return "[" + begin_.ToString() + ", " + end_.ToString() + ")";
-  }
+  /// \brief Appends the instant of an event stamp, "[vt_b, vt_e)" of an
+  /// interval stamp.
+  void AppendTo(std::string* out) const;
+  std::string ToString() const;
 
   friend bool operator==(const ValidTime&, const ValidTime&) = default;
 
@@ -102,6 +102,9 @@ struct Element {
   /// \brief True if the element has not been logically deleted.
   bool IsCurrent() const { return tt_end.IsMax(); }
 
+  /// \brief Appends the one-line reply rendering of the element:
+  /// "e#<surrogate> obj#<object> tt=[tt_b, tt_d) vt=<stamp> (<values>)".
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
 

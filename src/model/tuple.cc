@@ -34,13 +34,18 @@ size_t Tuple::ByteSize() const {
   return total;
 }
 
-std::string Tuple::ToString() const {
-  std::string out = "(";
+void Tuple::AppendTo(std::string* out) const {
+  out->push_back('(');
   for (size_t i = 0; i < values_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    if (i > 0) out->append(", ");
+    values_[i].AppendTo(out);
   }
-  out += ")";
+  out->push_back(')');
+}
+
+std::string Tuple::ToString() const {
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 

@@ -31,6 +31,8 @@ class Tuple {
 
   size_t ByteSize() const;
 
+  /// \brief Appends "(v1, v2, ...)", each value as Value::AppendTo renders it.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 
   friend bool operator==(const Tuple&, const Tuple&) = default;

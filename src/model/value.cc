@@ -1,6 +1,9 @@
 #include "model/value.h"
 
-#include <sstream>
+#include <charconv>
+
+#include "timex/calendar.h"
+#include "util/string_util.h"
 
 namespace tempspec {
 
@@ -22,25 +25,41 @@ const char* ValueTypeToString(ValueType type) {
   return "UNKNOWN";
 }
 
-std::string Value::ToString() const {
+void Value::AppendTo(std::string* out) const {
   switch (type()) {
     case ValueType::kNull:
-      return "null";
+      out->append("null");
+      return;
     case ValueType::kBool:
-      return AsBool() ? "true" : "false";
+      out->append(AsBool() ? "true" : "false");
+      return;
     case ValueType::kInt64:
-      return std::to_string(AsInt64());
+      AppendDecimal(AsInt64(), out);
+      return;
     case ValueType::kDouble: {
-      std::ostringstream ss;
-      ss << AsDouble();
-      return ss.str();
+      // "%.6g" is what a default-formatted ostream prints for a double.
+      char buf[32];
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), AsDouble(),
+                                     std::chars_format::general, 6)
+                           .ptr);
+      return;
     }
     case ValueType::kString:
-      return "'" + AsString() + "'";
+      out->push_back('\'');
+      out->append(AsString());
+      out->push_back('\'');
+      return;
     case ValueType::kTime:
-      return AsTime().ToString();
+      AppendTimePoint(AsTime(), out);
+      return;
   }
-  return "?";
+  out->push_back('?');
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 size_t Value::ByteSize() const {

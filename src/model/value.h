@@ -47,6 +47,10 @@ class Value {
   const std::string& AsString() const { return std::get<std::string>(repr_); }
   TimePoint AsTime() const { return std::get<TimePoint>(repr_); }
 
+  /// \brief Appends the value's reply rendering: null, true/false, decimal
+  /// integers, doubles as `ostream << double` prints them (6 significant
+  /// digits, %g style), 'quoted' strings, and times as FormatTimePoint.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 
   friend bool operator==(const Value&, const Value&) = default;

@@ -116,7 +116,7 @@ void QueryClient::Close() {
     fd_ = -1;
   }
   buffered_.clear();
-  decoder_ = FrameDecoder();
+  decoder_ = FrameDecoder(kFrameMaxPayloadBytes);
 }
 
 bool QueryClient::SendAll(int fd, const std::string& bytes) {
@@ -279,7 +279,7 @@ WireReply QueryClient::ExecuteFrame(const std::string& statement,
       return reply;
     }
     if (next.ValueOrDie().has_value()) {
-      const Frame& got = *next.ValueOrDie();
+      Frame& got = *next.ValueOrDie();
       switch (got.type) {
         case FrameType::kResult:
           reply.outcome = WireOutcome::kOk;
@@ -294,7 +294,7 @@ WireReply QueryClient::ExecuteFrame(const std::string& statement,
           reply.outcome = WireOutcome::kServerError;
           break;
       }
-      reply.body = got.payload;
+      reply.body = std::move(got.payload);
       return reply;
     }
     std::string bytes;

@@ -130,7 +130,7 @@ class QueryClient {
   ClientOptions options_;
   int fd_ = -1;
   std::string buffered_;
-  FrameDecoder decoder_;
+  FrameDecoder decoder_{kFrameMaxPayloadBytes};
   uint64_t trace_hi_ = 0;
   uint64_t trace_lo_ = 0;
   uint64_t span_id_ = 0;

@@ -52,26 +52,28 @@ bool IsValidFrameType(uint8_t type) {
 }
 
 void EncodeFrame(const Frame& frame, std::string* out) {
-  std::string payload;
-  payload.reserve((frame.has_deadline() ? 8 : 0) +
-                  (frame.has_trace() ? kFrameTracePrefixBytes : 0) +
-                  frame.payload.size());
-  if (frame.has_deadline()) PutU64(&payload, frame.deadline_millis);
-  if (frame.has_trace()) {
-    PutU64(&payload, frame.trace_hi);
-    PutU64(&payload, frame.trace_lo);
-    PutU64(&payload, frame.span_id);
-  }
-  payload += frame.payload;
-
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
+  const size_t payload_len = (frame.has_deadline() ? 8 : 0) +
+                             (frame.has_trace() ? kFrameTracePrefixBytes : 0) +
+                             frame.payload.size();
+  out->reserve(out->size() + kFrameHeaderBytes + payload_len);
   PutU32(out, kFrameMagic);
   out->push_back(static_cast<char>(frame.type));
   out->push_back(static_cast<char>(frame.flags));
   PutU16(out, 0);  // reserved
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
-  *out += payload;
+  PutU32(out, static_cast<uint32_t>(payload_len));
+  const size_t crc_at = out->size();
+  PutU32(out, 0);  // payload_crc, patched once the payload is in place
+  if (frame.has_deadline()) PutU64(out, frame.deadline_millis);
+  if (frame.has_trace()) {
+    PutU64(out, frame.trace_hi);
+    PutU64(out, frame.trace_lo);
+    PutU64(out, frame.span_id);
+  }
+  *out += frame.payload;
+  const uint32_t crc = Crc32(std::string_view(*out).substr(crc_at + 4));
+  for (int i = 0; i < 4; ++i) {
+    (*out)[crc_at + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
 }
 
 Result<std::optional<Frame>> FrameDecoder::Next() {

@@ -43,6 +43,10 @@ constexpr uint8_t kFrameFlagDeadline = 0x01;
 constexpr uint8_t kFrameFlagTrace = 0x02;
 /// \brief Wire size of the trace prefix (trace_hi, trace_lo, span_id).
 constexpr size_t kFrameTracePrefixBytes = 24;
+/// \brief The largest payload the 32-bit payload_len field can describe.
+/// Reply decoders use it as their cap: a reply is as long as the
+/// statement's output, and only the server caps what it decodes (requests).
+constexpr size_t kFrameMaxPayloadBytes = 0xFFFFFFFFu;
 
 enum class FrameType : uint8_t {
   kQuery = 1,
@@ -77,7 +81,10 @@ struct Frame {
 /// deadline prefix, payload; CRC computed over both).
 void EncodeFrame(const Frame& frame, std::string* out);
 
-/// \brief Incremental frame decoder for one connection's byte stream.
+/// \brief Incremental frame decoder for one connection's byte stream. The
+/// default cap is the server's default request limit
+/// (ServerOptions::max_frame_payload_bytes); reply decoders pass
+/// kFrameMaxPayloadBytes.
 class FrameDecoder {
  public:
   explicit FrameDecoder(size_t max_payload_bytes = 1 * 1024 * 1024)

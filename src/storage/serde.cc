@@ -181,21 +181,54 @@ Result<Element> DecodeElement(Decoder* dec) {
   return e;
 }
 
-uint32_t Crc32(std::string_view data) {
-  static const auto kTable = [] {
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      table[i] = c;
+namespace {
+
+// Slice-by-8 tables for the reflected IEEE polynomial 0xEDB88320: row 0 is
+// the classic byte-at-a-time table, and row k maps a byte to its CRC
+// contribution once k further zero bytes have been shifted through, so one
+// step folds eight input bytes with eight independent lookups.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrc32Tables() {
+  std::array<std::array<uint32_t, 256>, 8> tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    return table;
-  }();
+    tables[0][i] = c;
+  }
+  for (size_t row = 1; row < 8; ++row) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[row - 1][i];
+      tables[row][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr auto kCrc32Tables = MakeCrc32Tables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view data) {
+  const auto& t = kCrc32Tables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char ch : data) {
-    crc = kTable[(crc ^ ch) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -66,7 +66,10 @@ Result<Tuple> DecodeTuple(Decoder* dec);
 void EncodeElement(const Element& e, Encoder* enc);
 Result<Element> DecodeElement(Decoder* dec);
 
-/// \brief CRC32 (IEEE polynomial) used by the WAL to detect torn writes.
+/// \brief CRC-32 (reflected IEEE polynomial; the zlib check value) that
+/// WAL records, backlog pages and TSP1 frames carry to detect torn or
+/// corrupted bytes. Computed slice-by-8, eight bytes per step; the values
+/// are those of the byte-at-a-time definition.
 uint32_t Crc32(std::string_view data);
 
 }  // namespace tempspec

@@ -1,5 +1,6 @@
 #include "timex/calendar.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +16,21 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-int64_t FloorMod(int64_t a, int64_t b) { return a - FloorDiv(a, b) * b; }
+// a - FloorDiv(a, b) * b, without the product: it overflows for
+// micros within a day of the int64 range's ends.
+int64_t FloorMod(int64_t a, int64_t b) {
+  const int64_t r = a % b;
+  return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
+}
+
+// Writes the low `width` decimal digits of non-negative `v`, zero-padded.
+char* PutDigits(char* p, int32_t v, int width) {
+  for (int i = width - 1; i >= 0; --i) {
+    p[i] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  }
+  return p + width;
+}
 
 }  // namespace
 
@@ -131,14 +146,45 @@ Result<TimePoint> ParseTimePoint(const std::string& text) {
   return FromCivil(c);
 }
 
-std::string FormatTimePoint(TimePoint tp) {
-  if (tp.IsMin()) return "-inf";
-  if (tp.IsMax()) return "+inf";
+void AppendTimePoint(TimePoint tp, std::string* out) {
+  if (tp.IsMin()) {
+    out->append("-inf");
+    return;
+  }
+  if (tp.IsMax()) {
+    out->append("+inf");
+    return;
+  }
   const CivilDateTime c = ToCivil(tp);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d.%06d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second, c.micro);
-  return buf;
+  char buf[40];  // an 11-character int32 year plus 22 fixed characters
+  char* p = buf;
+  if (c.year >= 0 && c.year <= 9999) {
+    p = PutDigits(p, c.year, 4);
+  } else if (c.year < 0 && c.year > -1000) {
+    *p++ = '-';
+    p = PutDigits(p, -c.year, 3);
+  } else {  // five or more characters: no padding to add
+    p = std::to_chars(p, buf + 11, c.year).ptr;
+  }
+  *p++ = '-';
+  p = PutDigits(p, c.month, 2);
+  *p++ = '-';
+  p = PutDigits(p, c.day, 2);
+  *p++ = ' ';
+  p = PutDigits(p, c.hour, 2);
+  *p++ = ':';
+  p = PutDigits(p, c.minute, 2);
+  *p++ = ':';
+  p = PutDigits(p, c.second, 2);
+  *p++ = '.';
+  p = PutDigits(p, c.micro, 6);
+  out->append(buf, p);
+}
+
+std::string FormatTimePoint(TimePoint tp) {
+  std::string out;
+  AppendTimePoint(tp, &out);
+  return out;
 }
 
 }  // namespace tempspec

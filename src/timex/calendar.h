@@ -57,7 +57,12 @@ int64_t WholeMonthsBetween(TimePoint from, TimePoint to);
 /// \brief Parses "YYYY-MM-DD[ HH:MM[:SS[.ffffff]]]" (UTC).
 Result<TimePoint> ParseTimePoint(const std::string& text);
 
-/// \brief Formats as "YYYY-MM-DD HH:MM:SS.ffffff".
+/// \brief Appends "YYYY-MM-DD HH:MM:SS.ffffff" (UTC; the year is zero-padded
+/// to four characters including a minus sign, as printf's "%04d" pads it);
+/// the sentinels append "-inf" / "+inf".
+void AppendTimePoint(TimePoint tp, std::string* out);
+
+/// \brief AppendTimePoint into a fresh string.
 std::string FormatTimePoint(TimePoint tp);
 
 }  // namespace tempspec

@@ -2,11 +2,20 @@
 #ifndef TEMPSPEC_UTIL_STRING_UTIL_H_
 #define TEMPSPEC_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace tempspec {
+
+/// \brief Appends the decimal digits of an integer (what std::to_string
+/// prints) without a temporary string.
+template <typename Int>
+void AppendDecimal(Int value, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
 /// \brief Splits on a single-character delimiter; empty fields are kept.
 std::vector<std::string> Split(std::string_view s, char delim);

@@ -47,6 +47,64 @@ TEST_F(QueryLangTest, CurrentQuery) {
   EXPECT_NE(out.ToString().find("11 element(s)"), std::string::npos);
 }
 
+// The whole reply of a planned read, pinned byte for byte (captured from
+// the ostringstream renderer the append formatters replaced): plan line,
+// one indented row per element, and the trailer.
+TEST_F(QueryLangTest, ReplyRenderingIsPinned) {
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput out,
+      ExecuteQuery(catalog_, "TIMESLICE samples AT '1992-02-03 10:20:00' "
+                             "AS OF '1992-02-03 11:00:00'"));
+  EXPECT_EQ(out.ToString(),
+            "plan: bitemporal scan (valid at vt, believed at tt)\n"
+            "  e#3 obj#1 tt=[1992-02-03 10:20:00.000000, +inf) "
+            "vt=1992-02-03 10:20:00.000000 (1, 2)\n"
+            "1 element(s), 1 examined\n");
+  ASSERT_OK_AND_ASSIGN(QueryOutput rollback,
+                       ExecuteQuery(catalog_, "ROLLBACK samples TO "
+                                              "'1992-02-03 10:10:00'"));
+  EXPECT_EQ(rollback.ToString(),
+            "plan: existence-interval scan\n"
+            "  e#1 obj#1 tt=[1992-02-03 10:00:00.000000, "
+            "1992-02-03 12:00:00.000000) vt=1992-02-03 10:00:00.000000 (1, 0)\n"
+            "  e#2 obj#1 tt=[1992-02-03 10:10:00.000000, +inf) "
+            "vt=1992-02-03 10:10:00.000000 (1, 1)\n"
+            "2 element(s), 12 examined\n");
+}
+
+TEST(QueryOutputTest, RendersPlanRowsTraceAndTrailer) {
+  Element e;
+  e.element_surrogate = 17;
+  e.object_surrogate = 4;
+  e.tt_begin = Civil(1992, 2, 3, 10, 30);
+  e.tt_end = TimePoint::Max();
+  e.valid = ValidTime::Event(Civil(1992, 2, 1));
+  e.attributes = Tuple{int64_t{1}, 2.5};
+  QueryOutput out;
+  EXPECT_EQ(out.ToString(), "0 element(s), 0 examined\n");
+  out.elements = {e, e};
+  out.stats.elements_examined = 9;
+  const std::string row =
+      "  e#17 obj#4 tt=[1992-02-03 10:30:00.000000, +inf) "
+      "vt=1992-02-01 00:00:00.000000 (1, 2.5)\n";
+  EXPECT_EQ(out.ToString(), row + row + "2 element(s), 9 examined\n");
+  out.plan_description = "full_scan [kernel generic_columnar] — no spec";
+  EXPECT_EQ(out.ToString(),
+            "plan: full_scan [kernel generic_columnar] — no spec\n" + row +
+                row + "2 element(s), 9 examined\n");
+  out.analyze = true;
+  out.trace_json = "{\"name\":\"query\"}";
+  EXPECT_EQ(out.ToString(),
+            "plan: full_scan [kernel generic_columnar] — no spec\n"
+            "trace: {\"name\":\"query\"}\n2 element(s), 9 examined\n");
+  out.analyze = false;
+  out.explain_only = true;
+  EXPECT_EQ(out.ToString(),
+            "plan: full_scan [kernel generic_columnar] — no spec\n");
+  out.report = "report\n";
+  EXPECT_EQ(out.ToString(), "report\n");
+}
+
 TEST_F(QueryLangTest, TimesliceUsesDegenerateStrategy) {
   // Third sample: valid (and stored) at 10:20.
   ASSERT_OK_AND_ASSIGN(

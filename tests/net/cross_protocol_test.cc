@@ -198,6 +198,66 @@ TEST_F(CrossProtocolTest, QueryClientClassifiesIdenticallyAcrossProtocols) {
   }
 }
 
+TEST_F(CrossProtocolTest, RepliesOverOneMebibyteMatchAcrossProtocols) {
+  // The server caps the frames it decodes (requests) at 1 MiB, but a reply
+  // is as long as the statement's output: QueryClient must read a reply
+  // over the cap whole on TSP1, exactly as it does on HTTP.
+  StartServer();
+  ASSERT_OK(service_
+                ->Execute(
+                    "CREATE EVENT RELATION wide (id INT64 KEY, note STRING) "
+                    "GRANULARITY 1s",
+                    nullptr)
+                .status());
+  const std::string note(240, 'n');
+  constexpr int kRows = 4000;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_OK(service_
+                  ->Execute("INSERT INTO wide OBJECT " + std::to_string(i + 1) +
+                                " VALUES (" + std::to_string(i) + ", '" + note +
+                                "') VALID AT '1970-01-01 01:00:00'",
+                            nullptr)
+                  .status());
+  }
+
+  std::string bodies[2];
+  int index = 0;
+  for (ClientProtocol protocol :
+       {ClientProtocol::kHttp, ClientProtocol::kTsp1}) {
+    ClientOptions options;
+    options.protocol = protocol;
+    QueryClient client(options);
+    ASSERT_OK(client.Connect(server_->port()));
+    WireReply reply = client.Execute("CURRENT wide");
+    ASSERT_EQ(reply.outcome, WireOutcome::kOk)
+        << WireOutcomeToString(reply.outcome) << ": "
+        << reply.body.substr(0, 200);
+    // The connection stays usable after the large reply.
+    WireReply after = client.Execute("CURRENT no_such_relation");
+    EXPECT_EQ(after.outcome, WireOutcome::kClientError) << after.body;
+    bodies[index++] = std::move(reply.body);
+  }
+  EXPECT_GT(bodies[0].size(), size_t{1024 * 1024});
+  EXPECT_NE(bodies[0].find(std::to_string(kRows) + " element(s)"),
+            std::string::npos);
+  EXPECT_TRUE(bodies[0] == bodies[1])
+      << "HTTP reply " << bodies[0].size() << " bytes, TSP1 reply "
+      << bodies[1].size() << " bytes";
+
+  // The request cap stays: a statement over 1 MiB is a protocol error that
+  // never executes.
+  const uint64_t errors_before = server_->Stats().protocol_errors;
+  ClientOptions options;
+  options.protocol = ClientProtocol::kTsp1;
+  QueryClient client(options);
+  ASSERT_OK(client.Connect(server_->port()));
+  const WireReply oversized =
+      client.Execute("CURRENT wide" + std::string(1024 * 1024, ' '));
+  EXPECT_NE(oversized.outcome, WireOutcome::kOk) << oversized.body;
+  EXPECT_TRUE(testing::WaitFor(
+      [&] { return server_->Stats().protocol_errors > errors_before; }));
+}
+
 TEST_F(CrossProtocolTest, ClientTraceIdJoinsServerSpansOnBothProtocols) {
   StartServer();
   ASSERT_OK(service_

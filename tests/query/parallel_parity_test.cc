@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "query/executor.h"
@@ -320,9 +321,16 @@ TEST(ParallelParityTest, WallClockBoundedBySummedMorselTimeUnderParallelism) {
   // real cores; on a single-CPU host the scheduler serializes morsels and
   // the inequality can legitimately fail, so there the test only checks that
   // both clocks tick and stay separate.
+  //
+  // The scan takes ~0.2 ms, and on a virtual machine an idle vCPU can take
+  // milliseconds to resume, so most scans finish before a woken worker
+  // runs: on a 4-vCPU VM about 3 in 100 trials overlapped. So trials repeat
+  // until one overlaps or a time budget runs out; a serial executor never
+  // overlaps and still fails. The ctest entry is RUN_SERIAL
+  // (tests/CMakeLists.txt) so sibling tests do not take the cores.
   WorkloadConfig config;
   config.num_objects = 16;
-  config.ops_per_object = 4096;  // 65536 elements: several ms of scan
+  config.ops_per_object = 4096;  // 65536 elements
   ASSERT_OK_AND_ASSIGN(auto scenario, MakeGeneral(config));
   ASSERT_OK(GenerateGeneral(config, Duration::Hours(2), &scenario));
   ThreadPool pool(4);
@@ -337,14 +345,19 @@ TEST(ParallelParityTest, WallClockBoundedBySummedMorselTimeUnderParallelism) {
 
   if (std::thread::hardware_concurrency() >= 2) {
     bool overlapped = false;
-    for (int trial = 0; trial < 10 && !overlapped; ++trial) {
+    int trials = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!overlapped && std::chrono::steady_clock::now() < deadline) {
       QueryStats ps;
       parallel.TimesliceSetWith(scan, vt, &ps);
       ASSERT_GT(ps.morsels_executed, 1u);
       overlapped = ps.wall_micros <= ps.cpu_micros;
+      ++trials;
     }
     EXPECT_TRUE(overlapped)
-        << "no trial showed wall <= summed per-morsel time on a "
+        << "none of " << trials
+        << " trials showed wall <= summed per-morsel time on a "
         << std::thread::hardware_concurrency() << "-core host";
   } else {
     QueryStats ps;
