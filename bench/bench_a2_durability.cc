@@ -4,11 +4,9 @@
 // measures checkpoint cost and recovery (open-with-replay) latency.
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 
 #include "bench_common.h"
-#include "util/failpoint.h"
 
 using namespace tempspec;
 using tempspec::bench::Require;
@@ -141,13 +139,4 @@ BENCHMARK(BM_CheckpointCost)->Arg(4096);
 BENCHMARK(BM_RecoveryFromWal)->Arg(8192);
 BENCHMARK(BM_RecoveryFromPages)->Arg(8192);
 
-int main(int argc, char** argv) {
-  if (tempspec::FailpointsCompiledIn()) {
-    std::fprintf(stderr,
-                 "[bench_a2] WARNING: built with TEMPSPEC_FAILPOINTS=ON — the "
-                 "storage IO paths carry fault-injection checks. Configure a "
-                 "separate tree with -DTEMPSPEC_FAILPOINTS=OFF for clean "
-                 "durability numbers.\n");
-  }
-  return tempspec::bench::BenchMain("a2_durability", argc, argv);
-}
+TEMPSPEC_BENCH_MAIN("a2_durability");

@@ -19,8 +19,7 @@
 //     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}}
 //   }
 //
-// The metrics object is the engine's registry snapshot at exit — empty maps
-// in a TEMPSPEC_METRICS=OFF tree, which the smoke check treats as valid.
+// The metrics object is the engine's registry snapshot at exit.
 #ifndef TEMPSPEC_BENCH_BENCH_JSON_H_
 #define TEMPSPEC_BENCH_BENCH_JSON_H_
 
@@ -62,10 +61,9 @@ inline std::string BenchResultsToJson(const std::string& bench_id,
   out += ",\"bench_id\":\"" + JsonEscape(bench_id) + "\"";
   // The full build configuration rides along with every result file: perf
   // numbers are only comparable between identically-configured trees, and
-  // a sanitized, metrics-OFF, or flight-recorder-OFF run must be
-  // distinguishable after the fact. The stamp is spliced from
-  // BuildConfigJson() so /varz and the bench files share one source of
-  // truth (params stays a flat object for check_bench_json.py).
+  // a sanitized run must be distinguishable after the fact. The stamp is
+  // spliced from BuildConfigJson() so /varz and the bench files share one
+  // source of truth (params stays a flat object for check_bench_json.py).
   out += ",\"params\":{\"threads\":" +
          std::to_string(ThreadPool::DefaultThreadCount()) + "," +
          BuildConfigJson().substr(1);

@@ -89,11 +89,10 @@ AdvisorReport Advise(const Schema& schema, const SpecializationSet& specs) {
   TS_COUNTER_INC("advisor.reports");
   // Advise() is not a hot path, so the runtime-composed name goes through
   // the registry directly instead of a cached-handle macro.
-  TS_METRICS_ONLY(MetricsRegistry::Instance()
-                      .GetCounter(std::string("advisor.strategy.") +
-                                  ExecutionStrategyToToken(
-                                      report.timeslice_strategy))
-                      .Increment(););
+  MetricsRegistry::Instance()
+      .GetCounter(std::string("advisor.strategy.") +
+                  ExecutionStrategyToToken(report.timeslice_strategy))
+      .Increment();
 
   // Lattice closure: everything the declared event types imply (Figure 2).
   const SpecLattice& lattice = SpecLattice::EventTaxonomy();

@@ -200,12 +200,6 @@ Result<QueryOutput> ShowFlightRecorder(QueryCursor& cur) {
     limit = static_cast<size_t>(n);
   }
   std::ostringstream ss;
-  if (!FlightRecorderCompiledIn()) {
-    ss << "0 event(s) shown (flight recorder compiled out; rebuild with "
-          "-DTEMPSPEC_FLIGHTRECORDER=ON)\n";
-    out.report = ss.str();
-    return out;
-  }
   FlightRecorder& recorder = FlightRecorder::Instance();
   std::vector<FlightEvent> events = recorder.Snapshot();
   const size_t begin = events.size() > limit ? events.size() - limit : 0;
@@ -402,7 +396,6 @@ Result<QueryOutput> ExecuteDelete(const Catalog& catalog, QueryCursor& cur) {
   return out;
 }
 
-#ifdef TEMPSPEC_METRICS
 // Records one executed statement into the labeled latency family behind
 // tempspec_query_latency{relation,kind,protocol}. The protocol label comes
 // from the server-stamped trace attribute; an embedded caller (no server in
@@ -418,7 +411,6 @@ void ObserveLabeledLatency(const std::string& relation, std::string kind,
   QueryLatencyFamily::Instance().Observe(relation, kind, protocol,
                                          static_cast<uint64_t>(wall.count()));
 }
-#endif  // TEMPSPEC_METRICS
 
 }  // namespace
 
@@ -441,7 +433,7 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
   QueryCursor cur(statement);
   QueryOutput out;
   TS_COUNTER_INC("querylang.statements");
-  TS_METRICS_ONLY(const auto query_start = std::chrono::steady_clock::now();)
+  const auto query_start = std::chrono::steady_clock::now();
 
   TS_ASSIGN_OR_RETURN(std::string verb, cur.Word());
   if (verb == "EXPLAIN") {
@@ -464,9 +456,9 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     if (!cur.AtEnd()) {
       return Status::InvalidArgument("trailing tokens after statement");
     }
-    TS_METRICS_ONLY(ObserveLabeledLatency(
-        written.ValueOrDie().relation, verb == "INSERT" ? "insert" : "delete",
-        external_trace, query_start);)
+    ObserveLabeledLatency(written.ValueOrDie().relation,
+                          verb == "INSERT" ? "insert" : "delete",
+                          external_trace, query_start);
     return written;
   }
 
@@ -497,20 +489,15 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     return shown;
   }
 
-  // EXPLAIN ANALYZE attaches a per-query trace span to the executor; in a
-  // metrics tree every executed statement carries one so the slow-query log
-  // sees it (runtime cost: one span, only on the statement path). A
-  // caller-owned trace (the server path) is attached unconditionally so its
-  // deadline/cancellation reaches the morsel-boundary polls.
+  // Every executed statement carries a trace span (EXPLAIN ANALYZE reports
+  // it, the span store and the labeled latency family read it; runtime cost:
+  // one span, only on the statement path). A caller-owned trace (the server
+  // path) carries its deadline/cancellation to the morsel-boundary polls.
   TraceContext local_trace;
   TraceContext& trace = external_trace != nullptr ? *external_trace
                                                   : local_trace;
   ExecutorOptions exec_options;
-  if (external_trace != nullptr && !out.explain_only) {
-    exec_options.trace = &trace;
-  }
-  if (out.analyze) exec_options.trace = &trace;
-  TS_METRICS_ONLY(if (!out.explain_only) exec_options.trace = &trace;)
+  if (!out.explain_only) exec_options.trace = &trace;
 
   if (verb == "CURRENT") {
     TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
@@ -584,7 +571,7 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
   if (out.analyze) out.trace_json = trace.ToJson();
   // Labeled per-query latency: kind is the scan-kernel token the executor
   // recorded (the per-specialization taxonomy), falling back to the verb.
-  TS_METRICS_ONLY(if (!out.explain_only) {
+  if (!out.explain_only) {
     std::string kind = trace.attr("kernel");
     if (kind.empty()) {
       kind = verb;
@@ -593,7 +580,7 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
       }
     }
     ObserveLabeledLatency(out.relation, std::move(kind), &trace, query_start);
-  })
+  }
   // Offer the span to the span store — unless the span is server-owned, in
   // which case the server records it at response completion (so its entry
   // covers queue wait and serialization too, and the span is not recorded

@@ -40,10 +40,10 @@
 //
 // EXPLAIN ANALYZE runs the query with a trace span attached and returns the
 // span as single-line JSON in QueryOutput::trace_json (strategy, counters,
-// pages touched, per-stage timings) instead of the result rows. In a
-// TEMPSPEC_METRICS tree every executed statement additionally carries a
-// span that is offered to the process-wide span store (obs/span_store.h),
-// which keeps it as slow when its wall time crosses the slowlog threshold.
+// pages touched, per-stage timings) instead of the result rows. Every
+// executed statement carries such a span and offers it to the process-wide
+// span store (obs/span_store.h), which keeps it as slow when its wall time
+// crosses the slowlog threshold.
 //
 // Time literals are single-quoted "YYYY-MM-DD[ HH:MM[:SS[.ffffff]]]".
 #ifndef TEMPSPEC_CATALOG_QUERY_LANG_H_

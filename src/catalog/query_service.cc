@@ -158,7 +158,7 @@ Result<std::string> QueryService::ExecuteDrop(const std::string& statement) {
   TS_COUNTER_INC("service.ddl");
   // Evict the relation's labeled latency series and recycle its label slot:
   // a create/drop churn must not grow the /metrics scrape.
-  TS_METRICS_ONLY(QueryLatencyFamily::Instance().ReleaseRelation(name);)
+  QueryLatencyFamily::Instance().ReleaseRelation(name);
   return "dropped relation " + name + "\n";
 }
 

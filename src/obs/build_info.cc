@@ -1,18 +1,15 @@
 #include "obs/build_info.h"
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "util/failpoint.h"
 
 namespace tempspec {
 
 std::string BuildConfigJson() {
-  std::string out = "{\"metrics_enabled\":";
-  out += MetricsCompiledIn() ? "1" : "0";
-  out += ",\"failpoints_enabled\":";
-  out += FailpointsCompiledIn() ? "1" : "0";
-  out += ",\"flightrecorder_enabled\":";
-  out += FlightRecorderCompiledIn() ? "1" : "0";
+  // Metrics, failpoints and the flight recorder are always compiled in. The
+  // three keys stay so stamps remain comparable with earlier results.
+  std::string out =
+      "{\"metrics_enabled\":1,\"failpoints_enabled\":1,"
+      "\"flightrecorder_enabled\":1";
 #ifdef TEMPSPEC_SANITIZE_NAME
   out += ",\"sanitizers\":\"" + JsonEscape(TEMPSPEC_SANITIZE_NAME) + "\"";
 #else

@@ -9,9 +9,8 @@
 namespace tempspec {
 
 /// \brief JSON object describing this binary's compile-time configuration:
-/// {"metrics_enabled":0|1,"failpoints_enabled":0|1,
-///  "flightrecorder_enabled":0|1,"sanitizers":""|"thread"|"address",
-///  "compiler":"<__VERSION__>"}.
+/// {"metrics_enabled":1,"failpoints_enabled":1,"flightrecorder_enabled":1,
+///  "sanitizers":""|"thread"|"address","compiler":"<__VERSION__>"}.
 std::string BuildConfigJson();
 
 }  // namespace tempspec

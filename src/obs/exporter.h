@@ -23,11 +23,8 @@
 // periodic JSONL snapshot line to a file, so a run leaves a scrape history
 // behind even when nothing polled it.
 //
-// Compile-out contract: the exporter itself is control-plane code — it is
-// only ever started explicitly (or via MaybeStartFromEnv), costs nothing
-// when not running, and compiles in every tree so tools and tests work
-// regardless of TEMPSPEC_METRICS. In an OFF tree a scrape simply renders
-// the empty registry; the hot-path instrumentation is what compiles out.
+// The exporter is control-plane code: it is only ever started explicitly
+// (or via MaybeStartFromEnv) and costs nothing when not running.
 #ifndef TEMPSPEC_OBS_EXPORTER_H_
 #define TEMPSPEC_OBS_EXPORTER_H_
 

@@ -14,14 +14,6 @@
 
 namespace tempspec {
 
-bool FlightRecorderCompiledIn() {
-#ifdef TEMPSPEC_FLIGHTRECORDER
-  return true;
-#else
-  return false;
-#endif
-}
-
 const char* FlightCategoryToString(FlightCategory category) {
   switch (category) {
     case FlightCategory::kWal: return "wal";

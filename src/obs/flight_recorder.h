@@ -22,10 +22,7 @@
 // Every field of a slot is a std::atomic, so concurrent drains are
 // TSan-clean by construction, not by suppression.
 //
-// Compile-out: mirrors obs/metrics.h. The class always compiles; engine
-// call sites use TS_FLIGHT, which compiles to nothing unless
-// TEMPSPEC_FLIGHTRECORDER is defined (CMake option, default ON), and
-// FlightRecorderCompiledIn() lets tests detect a vacuous build.
+// Engine call sites record through the TS_FLIGHT macro below.
 #ifndef TEMPSPEC_OBS_FLIGHT_RECORDER_H_
 #define TEMPSPEC_OBS_FLIGHT_RECORDER_H_
 
@@ -39,10 +36,6 @@
 #include "util/result.h"
 
 namespace tempspec {
-
-/// \brief True when the engine was compiled with TEMPSPEC_FLIGHTRECORDER,
-/// i.e. the TS_FLIGHT call sites actually record anything.
-bool FlightRecorderCompiledIn();
 
 /// \brief Which subsystem recorded the event.
 enum class FlightCategory : uint8_t {
@@ -183,21 +176,11 @@ class FlightRecorder {
 };
 
 // TS_FLIGHT(category, code, arg0, arg1, detail) — the engine-side record
-// macro. Compiles to nothing (arguments unevaluated) unless
-// TEMPSPEC_FLIGHTRECORDER is defined. TS_FLIGHT_ONLY(code) guards larger
-// blocks, mirroring TS_METRICS_ONLY.
-#ifdef TEMPSPEC_FLIGHTRECORDER
-#define TS_FLIGHT_ONLY(code) code
+// macro.
 #define TS_FLIGHT(category, code, arg0, arg1, detail)                   \
   ::tempspec::FlightRecorder::Instance().Record(                        \
       (category), (code), static_cast<int64_t>(arg0),                   \
       static_cast<int64_t>(arg1), (detail))
-#else
-#define TS_FLIGHT_ONLY(code)
-#define TS_FLIGHT(category, code, arg0, arg1, detail) \
-  do {                                                \
-  } while (0)
-#endif  // TEMPSPEC_FLIGHTRECORDER
 
 }  // namespace tempspec
 

@@ -6,14 +6,6 @@
 
 namespace tempspec {
 
-bool MetricsCompiledIn() {
-#ifdef TEMPSPEC_METRICS
-  return true;
-#else
-  return false;
-#endif
-}
-
 size_t ThisThreadMetricShard() {
   static std::atomic<size_t> next{0};
   thread_local const size_t idx =

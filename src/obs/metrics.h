@@ -15,13 +15,8 @@
 // Scrape() sums the shards. Gauges are single atomics (set semantics do not
 // shard).
 //
-// Compile-out: the registry API always exists, so tests and tools compile
-// regardless of build flags; the *call sites* use the TS_COUNTER_* /
-// TS_GAUGE_* / TS_HISTOGRAM_* macros below, which compile to nothing unless
-// TEMPSPEC_METRICS is defined (a CMake option, default ON — mirror of the
-// TEMPSPEC_FAILPOINTS pattern). With the option off the hot paths carry zero
-// metrics code and MetricsCompiledIn() returns false so conformance tests
-// can detect a vacuous build instead of passing silently.
+// Call sites use the TS_COUNTER_* / TS_GAUGE_* / TS_HISTOGRAM_* macros
+// below, which cache the registry handle per call site.
 #ifndef TEMPSPEC_OBS_METRICS_H_
 #define TEMPSPEC_OBS_METRICS_H_
 
@@ -35,10 +30,6 @@
 #include <vector>
 
 namespace tempspec {
-
-/// \brief True when the engine was compiled with TEMPSPEC_METRICS, i.e. the
-/// instrumented call sites actually record anything.
-bool MetricsCompiledIn();
 
 /// \brief Shard count for striped counters/histograms. A power of two; 16
 /// shards keep contention negligible at any realistic thread count while
@@ -174,8 +165,7 @@ class MetricsRegistry {
 
   MetricsSnapshot Scrape() const;
 
-  /// \brief Number of registered metrics (conformance tests use this to
-  /// prove the OFF build registers nothing).
+  /// \brief Number of registered metrics.
   size_t MetricCount() const;
 
   /// \brief Zeroes every counter/gauge/histogram (benches isolate runs with
@@ -291,15 +281,13 @@ class QueryLatencyFamily {
 /// the snapshot, trace spans, and the bench JSON writer).
 std::string JsonEscape(const std::string& s);
 
-// -- Instrumentation macros (compiled out without TEMPSPEC_METRICS) ----------
+// -- Instrumentation macros -------------------------------------------------
 //
 // `name` must be a string literal (or at least loop-invariant): the handle
 // lookup runs once per call site via a function-local static, after which
 // each hit is one relaxed atomic add. For names computed at runtime (e.g.
-// per-strategy counters), wrap a cached-handle table in TS_METRICS_ONLY().
+// per-strategy counters), cache a handle table at the call site.
 
-#ifdef TEMPSPEC_METRICS
-#define TS_METRICS_ONLY(code) code
 #define TS_COUNTER_ADD(name, n)                                      \
   do {                                                               \
     static ::tempspec::MetricCounter& ts_metric_ =                   \
@@ -325,24 +313,6 @@ std::string JsonEscape(const std::string& s);
         ::tempspec::MetricsRegistry::Instance().GetHistogram(name);  \
     ts_metric_.Observe(v);                                           \
   } while (0)
-#else
-#define TS_METRICS_ONLY(code)
-#define TS_COUNTER_ADD(name, n) \
-  do {                          \
-  } while (0)
-#define TS_COUNTER_INC(name) \
-  do {                       \
-  } while (0)
-#define TS_GAUGE_SET(name, v) \
-  do {                        \
-  } while (0)
-#define TS_GAUGE_ADD(name, v) \
-  do {                        \
-  } while (0)
-#define TS_HISTOGRAM_OBSERVE(name, v) \
-  do {                                \
-  } while (0)
-#endif  // TEMPSPEC_METRICS
 
 }  // namespace tempspec
 

@@ -174,21 +174,19 @@ std::vector<SloVerdict> SloRegistry::Evaluate() {
   // The tempspec.slo.* gauge family. Per-relation gauge names are bounded by
   // the declared objectives (operator configuration), not by DDL churn, so
   // the process-lifetime registry handles cannot grow without bound.
-  TS_METRICS_ONLY({
-    MetricsRegistry& registry = MetricsRegistry::Instance();
-    registry.GetGauge("tempspec.slo.relations")
-        .Set(static_cast<int64_t>(verdicts.size()));
-    int64_t burning = 0;
-    for (const SloVerdict& v : verdicts) {
-      if (v.burning) ++burning;
-      registry.GetGauge("tempspec.slo.ok." + v.relation).Set(v.total_ok ? 1 : 0);
-      registry.GetGauge("tempspec.slo.burn_rate_x100." + v.relation)
-          .Set(static_cast<int64_t>(v.burn_rate * 100.0));
-      registry.GetGauge("tempspec.slo.window_p99_micros." + v.relation)
-          .Set(static_cast<int64_t>(v.window_p99_micros));
-    }
-    registry.GetGauge("tempspec.slo.burning").Set(burning);
-  });
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  registry.GetGauge("tempspec.slo.relations")
+      .Set(static_cast<int64_t>(verdicts.size()));
+  int64_t burning = 0;
+  for (const SloVerdict& v : verdicts) {
+    if (v.burning) ++burning;
+    registry.GetGauge("tempspec.slo.ok." + v.relation).Set(v.total_ok ? 1 : 0);
+    registry.GetGauge("tempspec.slo.burn_rate_x100." + v.relation)
+        .Set(static_cast<int64_t>(v.burn_rate * 100.0));
+    registry.GetGauge("tempspec.slo.window_p99_micros." + v.relation)
+        .Set(static_cast<int64_t>(v.window_p99_micros));
+  }
+  registry.GetGauge("tempspec.slo.burning").Set(burning);
 
   return verdicts;
 }

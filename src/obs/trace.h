@@ -10,10 +10,8 @@
 // offered to the span store (obs/span_store.h), so recent and slow spans
 // survive after the query returns, joinable by trace id.
 //
-// Unlike the TS_* metric macros, tracing is a runtime opt-in rather than a
-// compile-time one: a query with no attached context pays only a null-pointer
-// check, so the span machinery is always compiled in and works in
-// TEMPSPEC_METRICS=OFF trees too.
+// Tracing is a runtime opt-in: a query with no attached context pays only a
+// null-pointer check.
 #ifndef TEMPSPEC_OBS_TRACE_H_
 #define TEMPSPEC_OBS_TRACE_H_
 

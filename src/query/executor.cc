@@ -12,7 +12,6 @@ namespace tempspec {
 namespace {
 
 void Count(QueryStats* stats, uint64_t examined, uint64_t probes = 0) {
-  if (stats == nullptr) return;
   stats->elements_examined += examined;
   stats->index_probes += probes;
 }
@@ -23,11 +22,9 @@ void Count(QueryStats* stats, uint64_t examined, uint64_t probes = 0) {
 void RecordKernel(TraceContext* trace, ScanKernel kernel) {
   const char* token = ScanKernelToToken(kernel);
   if (trace != nullptr) trace->SetAttr("kernel", token);
-  TS_METRICS_ONLY({
-    MetricsRegistry::Instance()
-        .GetCounter(std::string("executor.kernel.") + token)
-        .Increment();
-  });
+  MetricsRegistry::Instance()
+      .GetCounter(std::string("executor.kernel.") + token)
+      .Increment();
 }
 
 uint64_t MicrosBetween(std::chrono::steady_clock::time_point a,
@@ -39,11 +36,9 @@ uint64_t MicrosBetween(std::chrono::steady_clock::time_point a,
 /// \brief Adds wall-clock time to stats->wall_micros on scope exit.
 class StatsTimer {
  public:
-  explicit StatsTimer(QueryStats* stats) : stats_(stats) {
-    if (stats_) start_ = std::chrono::steady_clock::now();
-  }
+  explicit StatsTimer(QueryStats* stats)
+      : stats_(stats), start_(std::chrono::steady_clock::now()) {}
   ~StatsTimer() {
-    if (stats_ == nullptr) return;
     stats_->wall_micros +=
         MicrosBetween(start_, std::chrono::steady_clock::now());
   }
@@ -58,33 +53,28 @@ class StatsTimer {
 ///
 /// Declared before the StatsTimer in every entry point, so the timer's
 /// destructor finalizes wall_micros before this scope reads the deltas. When
-/// the caller passed no QueryStats but a trace is attached (or metrics are
-/// compiled in), a scope-local QueryStats collects the counters instead.
+/// the caller passed no QueryStats, a scope-local QueryStats collects the
+/// counters instead.
 class QueryScope {
  public:
   QueryScope(const TemporalRelation& relation, TraceContext* trace,
              const char* span_name, QueryStats* caller_stats)
-      : trace_(trace), span_name_(span_name) {
+      : trace_(trace),
+        span_name_(span_name),
+        stats_(caller_stats != nullptr ? caller_stats : &local_),
+        baseline_(*stats_) {
     if (trace_ != nullptr) trace_->Begin(span_name);
-    if (caller_stats != nullptr) {
-      stats_ = caller_stats;
-      baseline_ = *caller_stats;
-    } else if (trace_ != nullptr || MetricsCompiledIn()) {
-      stats_ = &local_;
-    }
-    if (stats_ != nullptr) {
-      if (const BufferPool* pool = relation.backlog().buffer_pool()) {
-        pool_ = pool;
-        pages_before_ = pool->hits() + pool->misses();
-      }
+    if (const BufferPool* pool = relation.backlog().buffer_pool()) {
+      pool_ = pool;
+      pages_before_ = pool->hits() + pool->misses();
     }
   }
 
   QueryScope(const QueryScope&) = delete;
   QueryScope& operator=(const QueryScope&) = delete;
 
-  /// \brief Stats target for this query: the caller's, a scope-local one
-  /// when observation needs counters anyway, or nullptr.
+  /// \brief Stats target for this query (never null): the caller's, or the
+  /// scope-local one.
   QueryStats* stats() const { return stats_; }
 
   /// \brief Records the optimizer's choice for the span and the registry.
@@ -95,7 +85,6 @@ class QueryScope {
   void SetStrategyToken(const char* token) { strategy_token_ = token; }
 
   ~QueryScope() {
-    if (stats_ == nullptr) return;
     QueryStats d = *stats_;
     d.elements_examined -= baseline_.elements_examined;
     d.index_probes -= baseline_.index_probes;
@@ -128,31 +117,29 @@ class QueryScope {
       trace_->End();
     }
 
-    TS_METRICS_ONLY({
-      MetricsRegistry& reg = MetricsRegistry::Instance();
-      reg.GetCounter(std::string("executor.") + span_name_).Increment();
-      if (strategy_token_ != nullptr) {
-        reg.GetCounter(std::string("executor.strategy.") + strategy_token_)
-            .Increment();
-      }
-      TS_COUNTER_INC("executor.queries");
-      TS_COUNTER_ADD("executor.elements_examined", d.elements_examined);
-      TS_COUNTER_ADD("executor.elements_returned", d.results);
-      TS_COUNTER_ADD("executor.index_probes", d.index_probes);
-      TS_COUNTER_ADD("executor.morsels", d.morsels_executed);
-      TS_COUNTER_ADD("executor.rows_scanned", d.rows_scanned);
-      TS_COUNTER_ADD("executor.rows_matched", d.rows_matched);
-      TS_COUNTER_ADD("executor.scan_aborts", d.scan_aborts);
-      TS_HISTOGRAM_OBSERVE("executor.query_wall_micros", d.wall_micros);
-    });
+    MetricsRegistry& reg = MetricsRegistry::Instance();
+    reg.GetCounter(std::string("executor.") + span_name_).Increment();
+    if (strategy_token_ != nullptr) {
+      reg.GetCounter(std::string("executor.strategy.") + strategy_token_)
+          .Increment();
+    }
+    TS_COUNTER_INC("executor.queries");
+    TS_COUNTER_ADD("executor.elements_examined", d.elements_examined);
+    TS_COUNTER_ADD("executor.elements_returned", d.results);
+    TS_COUNTER_ADD("executor.index_probes", d.index_probes);
+    TS_COUNTER_ADD("executor.morsels", d.morsels_executed);
+    TS_COUNTER_ADD("executor.rows_scanned", d.rows_scanned);
+    TS_COUNTER_ADD("executor.rows_matched", d.rows_matched);
+    TS_COUNTER_ADD("executor.scan_aborts", d.scan_aborts);
+    TS_HISTOGRAM_OBSERVE("executor.query_wall_micros", d.wall_micros);
   }
 
  private:
   TraceContext* trace_;
   const char* span_name_;
   const char* strategy_token_ = nullptr;
-  QueryStats* stats_ = nullptr;
   QueryStats local_;
+  QueryStats* stats_;
   QueryStats baseline_;
   const BufferPool* pool_ = nullptr;
   uint64_t pages_before_ = 0;
@@ -174,8 +161,7 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
   TraceContext* const trace = options_.trace;
   std::vector<uint64_t> out;
   if (!parallel) {
-    std::chrono::steady_clock::time_point scan_start;
-    if (stats) scan_start = std::chrono::steady_clock::now();
+    const auto scan_start = std::chrono::steady_clock::now();
     size_t scanned = count;
     if (trace == nullptr) {
       for (size_t i = 0; i < count; ++i) {
@@ -196,11 +182,11 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
         }
       }
       scanned = std::min(base, count);
-      if (stats && base < count) {
+      if (base < count) {
         stats->scan_aborts += (count - base + grain - 1) / grain;
       }
     }
-    if (stats && count > 0) {
+    if (count > 0) {
       stats->morsels_executed += 1;
       stats->cpu_micros +=
           MicrosBetween(scan_start, std::chrono::steady_clock::now());
@@ -228,31 +214,27 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
                                                std::memory_order_relaxed);
                         return;
                       }
-                      std::chrono::steady_clock::time_point morsel_start;
-                      if (stats) morsel_start = std::chrono::steady_clock::now();
+                      const auto morsel_start =
+                          std::chrono::steady_clock::now();
                       std::vector<uint64_t>& part = parts[morsel];
                       for (size_t i = begin; i < end; ++i) {
                         const uint64_t pos = pos_at(i);
                         if (pred(elements[pos])) part.push_back(pos);
                       }
-                      if (stats) {
-                        cpu_micros.fetch_add(
-                            MicrosBetween(morsel_start,
-                                          std::chrono::steady_clock::now()),
-                            std::memory_order_relaxed);
-                      }
+                      cpu_micros.fetch_add(
+                          MicrosBetween(morsel_start,
+                                        std::chrono::steady_clock::now()),
+                          std::memory_order_relaxed);
                     });
   size_t total = 0;
   for (const auto& part : parts) total += part.size();
   out.reserve(total);
   for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
-  if (stats) {
-    stats->morsels_executed += morsels;
-    stats->cpu_micros += cpu_micros.load(std::memory_order_relaxed);
-    stats->rows_scanned += count - skipped_rows.load(std::memory_order_relaxed);
-    stats->rows_matched += total;
-    stats->scan_aborts += aborts.load(std::memory_order_relaxed);
-  }
+  stats->morsels_executed += morsels;
+  stats->cpu_micros += cpu_micros.load(std::memory_order_relaxed);
+  stats->rows_scanned += count - skipped_rows.load(std::memory_order_relaxed);
+  stats->rows_matched += total;
+  stats->scan_aborts += aborts.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -269,8 +251,7 @@ std::vector<uint64_t> QueryExecutor::CollectColumnar(
   TraceContext* const trace = options_.trace;
   std::vector<uint64_t> out;
   if (!parallel) {
-    std::chrono::steady_clock::time_point scan_start;
-    if (stats) scan_start = std::chrono::steady_clock::now();
+    const auto scan_start = std::chrono::steady_clock::now();
     size_t scanned = count;
     if (trace == nullptr) {
       KernelScan(kernel, cols, first, last, lo_micros, hi_micros, as_of_micros,
@@ -286,11 +267,11 @@ std::vector<uint64_t> QueryExecutor::CollectColumnar(
                    hi_micros, as_of_micros, &out);
       }
       scanned = std::min(base, count);
-      if (stats && base < count) {
+      if (base < count) {
         stats->scan_aborts += (count - base + grain - 1) / grain;
       }
     }
-    if (stats && count > 0) {
+    if (count > 0) {
       stats->morsels_executed += 1;
       stats->cpu_micros +=
           MicrosBetween(scan_start, std::chrono::steady_clock::now());
@@ -317,29 +298,25 @@ std::vector<uint64_t> QueryExecutor::CollectColumnar(
                                                std::memory_order_relaxed);
                         return;
                       }
-                      std::chrono::steady_clock::time_point morsel_start;
-                      if (stats) morsel_start = std::chrono::steady_clock::now();
+                      const auto morsel_start =
+                          std::chrono::steady_clock::now();
                       KernelScan(kernel, cols, first + begin, first + end,
                                  lo_micros, hi_micros, as_of_micros,
                                  &parts[morsel]);
-                      if (stats) {
-                        cpu_micros.fetch_add(
-                            MicrosBetween(morsel_start,
-                                          std::chrono::steady_clock::now()),
-                            std::memory_order_relaxed);
-                      }
+                      cpu_micros.fetch_add(
+                          MicrosBetween(morsel_start,
+                                        std::chrono::steady_clock::now()),
+                          std::memory_order_relaxed);
                     });
   size_t total = 0;
   for (const auto& part : parts) total += part.size();
   out.reserve(total);
   for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
-  if (stats) {
-    stats->morsels_executed += morsels;
-    stats->cpu_micros += cpu_micros.load(std::memory_order_relaxed);
-    stats->rows_scanned += count - skipped_rows.load(std::memory_order_relaxed);
-    stats->rows_matched += total;
-    stats->scan_aborts += aborts.load(std::memory_order_relaxed);
-  }
+  stats->morsels_executed += morsels;
+  stats->cpu_micros += cpu_micros.load(std::memory_order_relaxed);
+  stats->rows_scanned += count - skipped_rows.load(std::memory_order_relaxed);
+  stats->rows_matched += total;
+  stats->scan_aborts += aborts.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -489,7 +466,7 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
   }
 
   RecordKernel(options_.trace, kernel_used);
-  if (stats) stats->results += positions.size();
+  stats->results += positions.size();
   return ResultSet(elements, std::move(positions));
 }
 
@@ -533,7 +510,7 @@ ResultSet QueryExecutor::ExistenceScan(const char* span_name,
         },
         stats);
   }
-  if (stats) stats->results += positions.size();
+  stats->results += positions.size();
   return ResultSet(elements, std::move(positions));
 }
 
@@ -613,7 +590,7 @@ std::vector<Element> QueryExecutor::Rollback(TimePoint tt,
     TraceContext::StageScope scan_stage(options_.trace, "snapshot_replay");
     std::vector<Element> out = relation_.StateAt(tt, options_.pool);
     Count(stats, out.size());
-    if (stats) stats->results += out.size();
+    stats->results += out.size();
     return out;
   }
   return RollbackSet(tt, stats).Materialize(options_.pool);

@@ -12,7 +12,6 @@ namespace {
 void CountPlan(const PlanChoice& plan) {
   TS_FLIGHT(FlightCategory::kPlan, FlightCode::kPlanChoice, plan.strategy,
             plan.kernel, ExecutionStrategyToToken(plan.strategy));
-#ifdef TEMPSPEC_METRICS
   static MetricCounter* const counters[] = {
       &MetricsRegistry::Instance().GetCounter(
           std::string("optimizer.plan.") +
@@ -32,9 +31,6 @@ void CountPlan(const PlanChoice& plan) {
   };
   const size_t i = static_cast<size_t>(plan.strategy);
   if (i < sizeof(counters) / sizeof(counters[0])) counters[i]->Increment();
-#else
-  (void)plan;
-#endif
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ Status TemporalRelation::ApplyRecoveredEntries() {
       TS_RETURN_NOT_OK(e.attributes.Conforms(*schema_));
       // Recovered elements feed the drift monitor too: the observed profile
       // describes the data in the relation, not just this process's inserts.
-      TS_METRICS_ONLY(drift_.Observe(e.tt_begin, e.valid.begin()));
+      drift_.Observe(e.tt_begin, e.valid.begin());
       TS_RETURN_NOT_OK(checker_.OnInsert(e));
       by_surrogate_[e.element_surrogate] = elements_.size();
       if (partitions_.find(e.object_surrogate) == partitions_.end()) {
@@ -160,7 +160,7 @@ Result<ElementSurrogate> TemporalRelation::InsertAt(TimePoint tt,
   // Drift observation runs before enforcement on purpose: the monitor
   // counts *attempted* stamps, including the escaping inserts the checker
   // is about to reject — exactly the drift signal enforcement masks.
-  TS_METRICS_ONLY(drift_.Observe(tt, e.valid.begin()));
+  drift_.Observe(tt, e.valid.begin());
 
   // Intensional enforcement: reject any element that would take the
   // extension outside the declared types.

@@ -173,9 +173,7 @@ class TemporalRelation {
   Result<size_t> VacuumBefore(TimePoint horizon);
 
   /// \brief Point-in-time specialization-drift state: declared vs observed
-  /// kind, Figure-1 pane occupancy, violation count (see spec/drift.h). In
-  /// a TEMPSPEC_METRICS=OFF tree the monitor never observes anything, so
-  /// the report shows zero stamps.
+  /// kind, Figure-1 pane occupancy, violation count (see spec/drift.h).
   DriftReport DriftState() const { return drift_.Report(); }
 
   /// \brief Cheap DRIFTED check (declared specialization with observed

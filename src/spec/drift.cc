@@ -10,15 +10,14 @@ namespace tempspec {
 
 namespace {
 
-#ifdef TEMPSPEC_METRICS
 // The drift metric names embed the relation name, so the handles cannot be
 // cached in the function-local statics the TS_* macros use; the monitor
-// caches them as members-by-closure here instead (registration is one
-// mutexed map lookup at monitor construction, updates are lock-free).
+// caches them as members instead, looked up on its first stamp (the
+// violations counter on its first violation), after which updates are
+// lock-free.
 std::string DriftMetricName(const char* what, const std::string& relation) {
   return std::string("tempspec.drift.") + what + "." + relation;
 }
-#endif
 
 }  // namespace
 
@@ -89,6 +88,7 @@ RelationDriftMonitor::RelationDriftMonitor(std::string relation_name,
     }
     declared_kind_ = degenerate ? EventSpecKind::kDegenerate
                                 : EventSpecialization::ClassifyBand(joint);
+    distance_ = EventKindLatticeDistance(declared_kind_, observed_kind_);
   }
 }
 
@@ -103,51 +103,48 @@ bool RelationDriftMonitor::SatisfiesDeclared(TimePoint tt, TimePoint vt) const {
 }
 
 void RelationDriftMonitor::Observe(TimePoint tt, TimePoint vt) {
-  EventSpecKind observed;
-  size_t distance;
-  bool violated;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    profile_.Observe(tt, vt);
-    for (size_t i = 0; i < panes_.size(); ++i) {
-      // The degenerate pane uses chronon-equality at the relation's
-      // granularity (mirroring CheckElement); every other pane is the raw
-      // Figure-1 band test the property-test oracle checks.
-      const bool in_pane = panes_[i].kind == EventSpecKind::kDegenerate
-                               ? granularity_.Same(tt, vt)
-                               : panes_[i].band.Contains(tt, vt);
-      if (in_pane) ++pane_counts_[i];
-    }
-    violated = has_declaration_ && !SatisfiesDeclared(tt, vt);
-    if (violated) ++violations_;
-    observed = profile_.ObservedKind();
-    distance = has_declaration_
-                   ? EventKindLatticeDistance(declared_kind_, observed)
-                   : 0;
-    if (violated && violations_ == 1) {
-      // The conforming→drifted transition is a decision-plane milestone: it
-      // flips Drifted() and thus the optimizer's specialization gate, so the
-      // flight recorder keeps the exact moment and relation.
-      TS_FLIGHT(FlightCategory::kDrift, FlightCode::kDriftVerdict, observed,
-                distance, relation_name_);
-    }
-  }
-#ifdef TEMPSPEC_METRICS
+  std::lock_guard<std::mutex> lock(mu_);
   MetricsRegistry& reg = MetricsRegistry::Instance();
-  reg.GetGauge(DriftMetricName("observed_kind", relation_name_))
-      .Set(static_cast<int64_t>(observed));
-  reg.GetGauge(DriftMetricName("lattice_distance", relation_name_))
-      .Set(static_cast<int64_t>(distance));
-  reg.GetCounter(DriftMetricName("observed_stamps", relation_name_))
-      .Increment();
-  if (violated) {
-    reg.GetCounter(DriftMetricName("violations", relation_name_)).Increment();
+  if (observed_stamps_ == nullptr) {
+    observed_kind_gauge_ =
+        &reg.GetGauge(DriftMetricName("observed_kind", relation_name_));
+    distance_gauge_ =
+        &reg.GetGauge(DriftMetricName("lattice_distance", relation_name_));
+    observed_stamps_ =
+        &reg.GetCounter(DriftMetricName("observed_stamps", relation_name_));
   }
-#else
-  static_cast<void>(observed);
-  static_cast<void>(distance);
-  static_cast<void>(violated);
-#endif
+  profile_.Observe(tt, vt);
+  for (size_t i = 0; i < panes_.size(); ++i) {
+    // The degenerate pane uses chronon-equality at the relation's
+    // granularity (mirroring CheckElement); every other pane is the raw
+    // Figure-1 band test the property-test oracle checks.
+    const bool in_pane = panes_[i].kind == EventSpecKind::kDegenerate
+                             ? granularity_.Same(tt, vt)
+                             : panes_[i].band.Contains(tt, vt);
+    if (in_pane) ++pane_counts_[i];
+  }
+  const bool violated = has_declaration_ && !SatisfiesDeclared(tt, vt);
+  if (violated) ++violations_;
+  const EventSpecKind observed = profile_.ObservedKind();
+  if (observed != observed_kind_) {
+    observed_kind_ = observed;
+    distance_ = has_declaration_
+                    ? EventKindLatticeDistance(declared_kind_, observed)
+                    : 0;
+  }
+  if (violated && violations_ == 1) {
+    violations_counter_ =
+        &reg.GetCounter(DriftMetricName("violations", relation_name_));
+    // The conforming→drifted transition is a decision-plane milestone: it
+    // flips Drifted() and thus the optimizer's specialization gate, so the
+    // flight recorder keeps the exact moment and relation.
+    TS_FLIGHT(FlightCategory::kDrift, FlightCode::kDriftVerdict, observed,
+              distance_, relation_name_);
+  }
+  observed_kind_gauge_->Set(static_cast<int64_t>(observed));
+  distance_gauge_->Set(static_cast<int64_t>(distance_));
+  observed_stamps_->Increment();
+  if (violated) violations_counter_->Increment();
 }
 
 bool RelationDriftMonitor::Drifted() const {
@@ -167,8 +164,7 @@ DriftReport RelationDriftMonitor::Report() const {
   report.observed = profile_.ObservedKind();
   report.violations = violations_;
   if (has_declaration_ && report.observed_count > 0) {
-    report.lattice_distance =
-        EventKindLatticeDistance(declared_kind_, report.observed);
+    report.lattice_distance = distance_;
     report.conforming = violations_ == 0;
   }
   report.regions.reserve(panes_.size());

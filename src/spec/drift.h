@@ -27,11 +27,6 @@
 // not a descendant; violations > 0). Drift never un-happens: the observed
 // band only widens. The catalog Advisor folds the report into its notes,
 // and `SHOW SPECIALIZATION <relation>` renders it.
-//
-// Compile-out contract: the class always compiles; the relation's ingest
-// call site is wrapped in TS_METRICS_ONLY, and the monitor's own registry
-// updates are compiled under TEMPSPEC_METRICS — an OFF tree observes
-// nothing and registers nothing.
 #ifndef TEMPSPEC_SPEC_DRIFT_H_
 #define TEMPSPEC_SPEC_DRIFT_H_
 
@@ -40,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "spec/enumeration.h"
 #include "spec/event_spec.h"
 #include "spec/inference.h"
@@ -136,6 +132,17 @@ class RelationDriftMonitor {
   IncrementalEventProfile profile_;
   std::vector<uint64_t> pane_counts_;
   uint64_t violations_ = 0;
+  // The observed kind as of the last stamp and its lattice distance from
+  // the declared kind, recomputed only when the kind changes.
+  EventSpecKind observed_kind_ = EventSpecKind::kGeneral;
+  size_t distance_ = 0;
+  // Registry handles of the per-relation series: null until the first
+  // stamp (the violations counter until the first violation), so a relation
+  // registers its series when it first has something to report.
+  MetricGauge* observed_kind_gauge_ = nullptr;
+  MetricGauge* distance_gauge_ = nullptr;
+  MetricCounter* observed_stamps_ = nullptr;
+  MetricCounter* violations_counter_ = nullptr;
 };
 
 /// \brief Lattice distance between two event kinds on the Figure-2 taxonomy

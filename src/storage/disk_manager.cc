@@ -71,12 +71,10 @@ Result<PageId> DiskManager::AllocatePage() {
 }
 
 Status DiskManager::ReadPageOnce(PageId id, Page* out) const {
-#ifdef TEMPSPEC_FAILPOINTS
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
     TS_RETURN_NOT_OK(registry.OnRead("disk.read_page"));
   }
-#endif
   const off_t offset = static_cast<off_t>(id) * kPageSize;
   ssize_t n = ::pread(fd_, out->data, kPageSize, offset);
   if (n != static_cast<ssize_t>(kPageSize)) {
@@ -112,7 +110,6 @@ Status DiskManager::WritePageOnce(PageId id, const Page& page) {
   const char* src = page.data;
   size_t want = kPageSize;
   Status injected = Status::OK();
-#ifdef TEMPSPEC_FAILPOINTS
   Page scratch;
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
@@ -125,7 +122,6 @@ Status DiskManager::WritePageOnce(PageId id, const Page& page) {
     want = decision.write_len;
     injected = std::move(decision.after);
   }
-#endif
   const off_t offset = static_cast<off_t>(id) * kPageSize;
   size_t done = 0;
   while (done < want) {
@@ -156,14 +152,12 @@ Status DiskManager::WritePageInternal(PageId id, const Page& page) {
 }
 
 Status DiskManager::SyncOnce() {
-#ifdef TEMPSPEC_FAILPOINTS
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
     FailpointRegistry::SyncDecision decision = registry.OnSync("disk.sync");
     if (!decision.after.ok()) return std::move(decision.after);
     if (decision.skip) return Status::OK();
   }
-#endif
   if (::fsync(fd_) != 0) {
     return Status::IOError("fsync failed on '", path_, "': ",
                            std::strerror(errno));

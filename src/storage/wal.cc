@@ -51,7 +51,6 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(const std::string& pa
 
 WriteAheadLog::~WriteAheadLog() {
   if (fd_ >= 0) {
-#ifdef TEMPSPEC_FAILPOINTS
     // Simulated machine crash: bytes appended since the last successful
     // fsync are not guaranteed durable. Cut the file at a seeded point
     // within the unsynced tail — anywhere from "nothing lost" to "torn
@@ -76,7 +75,6 @@ WriteAheadLog::~WriteAheadLog() {
         }
       }
     }
-#endif
     ::close(fd_);
   }
 }
@@ -84,7 +82,6 @@ WriteAheadLog::~WriteAheadLog() {
 Status WriteAheadLog::AppendOnce(std::string* record, bool* wrote_any) {
   size_t want = record->size();
   Status injected = Status::OK();
-#ifdef TEMPSPEC_FAILPOINTS
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
     FailpointRegistry::WriteDecision decision =
@@ -92,7 +89,6 @@ Status WriteAheadLog::AppendOnce(std::string* record, bool* wrote_any) {
     want = decision.write_len;
     injected = std::move(decision.after);
   }
-#endif
   size_t done = 0;
   while (done < want) {
     ssize_t n = ::write(fd_, record->data() + done, want - done);
@@ -153,7 +149,6 @@ Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
 }
 
 Status WriteAheadLog::SyncOnce() {
-#ifdef TEMPSPEC_FAILPOINTS
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
     FailpointRegistry::SyncDecision decision = registry.OnSync("wal.sync");
@@ -162,7 +157,6 @@ Status WriteAheadLog::SyncOnce() {
     // stays put, so a later simulated crash can lose this tail.
     if (decision.skip) return Status::OK();
   }
-#endif
   if (::fdatasync(fd_) != 0) {
     return Status::IOError("WAL fsync failed: ", std::strerror(errno));
   }
@@ -232,7 +226,6 @@ Result<uint64_t> WriteAheadLog::Replay(
 }
 
 Status WriteAheadLog::Reset() {
-#ifdef TEMPSPEC_FAILPOINTS
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
     FailpointRegistry::SyncDecision decision = registry.OnSync("wal.reset");
@@ -242,7 +235,6 @@ Status WriteAheadLog::Reset() {
     // must skip them by LSN rather than replaying them twice.
     if (decision.skip) return Status::OK();
   }
-#endif
   if (::ftruncate(fd_, 0) != 0) {
     return Status::IOError("WAL truncate failed: ", std::strerror(errno));
   }

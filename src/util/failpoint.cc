@@ -19,14 +19,6 @@ const char* FaultKindToString(FaultKind kind) {
   return "unknown";
 }
 
-bool FailpointsCompiledIn() {
-#ifdef TEMPSPEC_FAILPOINTS
-  return true;
-#else
-  return false;
-#endif
-}
-
 FailpointRegistry& FailpointRegistry::Instance() {
   static FailpointRegistry* registry = new FailpointRegistry();
   return *registry;

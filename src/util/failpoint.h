@@ -10,13 +10,8 @@
 // which lets a test stop a workload at a deterministic point, tear the
 // store down, and re-open it to exercise recovery.
 //
-// The registry and its API always exist, so tests compile regardless of
-// build flags; the *call sites* inside WriteAheadLog / DiskManager are
-// compiled only under TEMPSPEC_FAILPOINTS (a CMake option, default ON; turn
-// it OFF for benchmark builds). With the option off the storage hot paths
-// contain no failpoint code at all — zero overhead — and
-// FailpointsCompiledIn() returns false so crash tests can fail loudly
-// instead of passing vacuously.
+// Nothing outside tests arms a site, so on a serving path each call site
+// costs one relaxed atomic load.
 #ifndef TEMPSPEC_UTIL_FAILPOINT_H_
 #define TEMPSPEC_UTIL_FAILPOINT_H_
 
@@ -65,10 +60,6 @@ struct FaultCounters {
   uint64_t transient_errors = 0;
   uint64_t crashes = 0;
 };
-
-/// \brief True when the storage layer was compiled with TEMPSPEC_FAILPOINTS,
-/// i.e. arming a site can actually inject faults.
-bool FailpointsCompiledIn();
 
 /// \brief Process-wide failpoint state. Thread-safe; the armed check on the
 /// hot path is a single relaxed atomic load.

@@ -85,14 +85,11 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, const MorselFn& fn) {
   }
 
   EnsureStarted();
-#ifdef TEMPSPEC_METRICS
   // queue_depth counts ParallelFor calls queued on or holding run_mu_; the
   // wait histogram is the queueing latency behind other jobs.
   TS_GAUGE_ADD("threadpool.queue_depth", 1);
   const auto queued_at = std::chrono::steady_clock::now();
-#endif
   std::lock_guard<std::mutex> run_lock(run_mu_);
-#ifdef TEMPSPEC_METRICS
   const auto started_at = std::chrono::steady_clock::now();
   TS_HISTOGRAM_OBSERVE(
       "threadpool.job_wait_micros",
@@ -101,7 +98,6 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, const MorselFn& fn) {
                                 .count()));
   TS_COUNTER_INC("threadpool.jobs");
   TS_COUNTER_ADD("threadpool.morsels", morsels);
-#endif
   Job job;
   job.n = n;
   job.grain = grain;
@@ -119,7 +115,6 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, const MorselFn& fn) {
   std::unique_lock<std::mutex> lock(mu_);
   job_ = nullptr;
   cv_done_.wait(lock, [&] { return inflight_ == 0; });
-#ifdef TEMPSPEC_METRICS
   lock.unlock();
   TS_HISTOGRAM_OBSERVE(
       "threadpool.job_run_micros",
@@ -127,7 +122,6 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, const MorselFn& fn) {
                                 std::chrono::steady_clock::now() - started_at)
                                 .count()));
   TS_GAUGE_ADD("threadpool.queue_depth", -1);
-#endif
 }
 
 }  // namespace tempspec

@@ -171,20 +171,15 @@ TEST_F(QueryLangTest, ShowSlowQueries) {
                        ExecuteQuery(catalog_, "SHOW SLOW QUERIES"));
   EXPECT_NE(out.report.find("threshold 0us"), std::string::npos);
   EXPECT_EQ(out.ToString(), out.report);  // SHOW renders the report verbatim
-  if (MetricsCompiledIn()) {
-    // Executed statements carry trace spans, so both CURRENTs were retained
-    // (the SHOW itself executes no query and is never logged).
-    EXPECT_NE(out.report.find("2 slow queries shown"), std::string::npos);
-    EXPECT_NE(out.report.find("\"statement\":\"CURRENT samples\""),
-              std::string::npos);
-    ASSERT_OK_AND_ASSIGN(QueryOutput limited,
-                         ExecuteQuery(catalog_, "SHOW SLOW QUERIES LIMIT 1"));
-    EXPECT_NE(limited.report.find("1 slow query shown (2 recorded"),
-              std::string::npos);
-  } else {
-    // OFF tree: no spans are attached, so nothing reaches the log.
-    EXPECT_NE(out.report.find("0 slow queries shown"), std::string::npos);
-  }
+  // Executed statements carry trace spans, so both CURRENTs were retained
+  // (the SHOW itself executes no query and is never logged).
+  EXPECT_NE(out.report.find("2 slow queries shown"), std::string::npos);
+  EXPECT_NE(out.report.find("\"statement\":\"CURRENT samples\""),
+            std::string::npos);
+  ASSERT_OK_AND_ASSIGN(QueryOutput limited,
+                       ExecuteQuery(catalog_, "SHOW SLOW QUERIES LIMIT 1"));
+  EXPECT_NE(limited.report.find("1 slow query shown (2 recorded"),
+            std::string::npos);
   log.Clear();
   log.SetThresholdMicros(10000);
 }
@@ -195,35 +190,25 @@ TEST_F(QueryLangTest, ShowSpecialization) {
   EXPECT_NE(out.report.find("relation samples"), std::string::npos);
   EXPECT_NE(out.report.find("declared: degenerate"), std::string::npos);
   EXPECT_NE(out.report.find("figure-1 occupancy"), std::string::npos);
-  if (MetricsCompiledIn()) {
-    // Every fixture insert was degenerate (vt = clock now), so the monitor
-    // saw them all and the relation conforms.
-    EXPECT_NE(out.report.find("conforming"), std::string::npos);
-  } else {
-    EXPECT_NE(out.report.find("observed: (no data)"), std::string::npos);
-  }
+  // Every fixture insert was degenerate (vt = clock now), so the monitor
+  // saw them all and the relation conforms.
+  EXPECT_NE(out.report.find("conforming"), std::string::npos);
 }
 
 TEST_F(QueryLangTest, ShowFlightRecorder) {
-  // A planned query records a plan-choice flight event in an ON tree.
+  // A planned query records a plan-choice flight event.
   ASSERT_OK(
       ExecuteQuery(catalog_, "TIMESLICE samples AT '1992-02-03 10:20:00'")
           .status());
   ASSERT_OK_AND_ASSIGN(QueryOutput out,
                        ExecuteQuery(catalog_, "SHOW FLIGHT RECORDER"));
   EXPECT_EQ(out.ToString(), out.report);
-  if (FlightRecorderCompiledIn()) {
-    EXPECT_NE(out.report.find("event(s) shown ("), std::string::npos);
-    EXPECT_NE(out.report.find("ring capacity"), std::string::npos);
-    EXPECT_NE(out.report.find("\"code\":\"plan.choice\""), std::string::npos);
-    ASSERT_OK_AND_ASSIGN(
-        QueryOutput limited,
-        ExecuteQuery(catalog_, "SHOW FLIGHT RECORDER LIMIT 1"));
-    EXPECT_NE(limited.report.find("1 event(s) shown ("), std::string::npos);
-  } else {
-    EXPECT_NE(out.report.find("flight recorder compiled out"),
-              std::string::npos);
-  }
+  EXPECT_NE(out.report.find("event(s) shown ("), std::string::npos);
+  EXPECT_NE(out.report.find("ring capacity"), std::string::npos);
+  EXPECT_NE(out.report.find("\"code\":\"plan.choice\""), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(QueryOutput limited,
+                       ExecuteQuery(catalog_, "SHOW FLIGHT RECORDER LIMIT 1"));
+  EXPECT_NE(limited.report.find("1 event(s) shown ("), std::string::npos);
 }
 
 TEST_F(QueryLangTest, ShowTraces) {
@@ -232,14 +217,12 @@ TEST_F(QueryLangTest, ShowTraces) {
   EXPECT_EQ(out.ToString(), out.report);
   EXPECT_NE(out.report.find("trace(s) shown ("), std::string::npos);
   EXPECT_NE(out.report.find("sampling 1/"), std::string::npos);
-  if (MetricsCompiledIn()) {
-    // Metrics trees attach a span to every executed statement, so the
-    // CURRENT above was offered to the retained ring (default sampling 1).
-    EXPECT_NE(out.report.find("\"span\":\"query."), std::string::npos);
-    ASSERT_OK_AND_ASSIGN(QueryOutput limited,
-                         ExecuteQuery(catalog_, "SHOW TRACES LIMIT 1"));
-    EXPECT_NE(limited.report.find("1 trace(s) shown ("), std::string::npos);
-  }
+  // Every executed statement carries a span, so the CURRENT above was
+  // offered to the retained ring (default sampling 1).
+  EXPECT_NE(out.report.find("\"span\":\"query."), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(QueryOutput limited,
+                       ExecuteQuery(catalog_, "SHOW TRACES LIMIT 1"));
+  EXPECT_NE(limited.report.find("1 trace(s) shown ("), std::string::npos);
 }
 
 TEST_F(QueryLangTest, ShowErrors) {

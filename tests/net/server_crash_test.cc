@@ -220,5 +220,49 @@ TEST(ServerCrashTest, FatalSignalDumpsFlightRecorderThatValidates) {
   EXPECT_EQ(std::system(check.c_str()), 0) << check;
 }
 
+/// \brief Runs tempspec_serve with one extra flag and/or environment entry
+/// ("KEY=VALUE") and returns its wait status, or -1 when it was still
+/// running after 5 s (it accepted the value and started serving).
+int ServeExitStatus(const std::string& flag, const std::string& env = "") {
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    if (!env.empty()) {
+      const size_t eq = env.find('=');
+      ::setenv(env.substr(0, eq).c_str(), env.substr(eq + 1).c_str(), 1);
+    }
+    if (flag.empty()) {
+      ::execl(TEMPSPEC_SERVE_BIN, TEMPSPEC_SERVE_BIN, nullptr);
+    } else {
+      ::execl(TEMPSPEC_SERVE_BIN, TEMPSPEC_SERVE_BIN, flag.c_str(), nullptr);
+    }
+    _exit(127);  // exec failed
+  }
+  int wstatus = 0;
+  const bool exited =
+      WaitFor([&] { return ::waitpid(pid, &wstatus, WNOHANG) == pid; },
+              std::chrono::seconds(5));
+  if (exited) return wstatus;
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &wstatus, 0);
+  return -1;
+}
+
+TEST(ServerCrashTest, MalformedOrOutOfRangeNumbersExitWithUsage) {
+  // Each value used to be accepted: 70000 wrapped to port 4464, "7abc"
+  // listened on port 7, and -1 became an admission cap of 2^64 - 1.
+  for (const char* flag :
+       {"--port=70000", "--port=7abc", "--max-inflight=-1"}) {
+    SCOPED_TRACE(flag);
+    const int wstatus = ServeExitStatus(flag);
+    ASSERT_TRUE(wstatus != -1 && WIFEXITED(wstatus)) << "daemon kept running";
+    EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+  }
+  // The environment fallbacks go through the same parser.
+  const int wstatus = ServeExitStatus("", "TEMPSPEC_SERVE_MAX_INFLIGHT=-1");
+  ASSERT_TRUE(wstatus != -1 && WIFEXITED(wstatus)) << "daemon kept running";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+}
+
 }  // namespace
 }  // namespace tempspec

@@ -1,8 +1,8 @@
 // Tests for the black-box flight recorder: slot round-trips, ring wrap,
 // detail truncation, JSONL serialization (parsed with testing_json.h), the
 // multi-writer seqlock protocol under a concurrent drain (the TSan job runs
-// this), the dump-to-file path the crash harness uses, and the
-// TEMPSPEC_FLIGHTRECORDER compile flag in both directions.
+// this), the dump-to-file path the crash harness uses, and the engine call
+// sites that record through TS_FLIGHT.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -248,25 +248,19 @@ TEST(FlightRecorderTest, ThreadIdsAreSmallAndDistinct) {
   EXPECT_NE(other, mine);
 }
 
-// --- Compile-flag discipline, both directions -------------------------------
+// --- Engine call sites ------------------------------------------------------
 
-TEST(FlightRecorderCompileFlagTest, MacroMatchesCompiledInFlag) {
+TEST(FlightRecorderMacroTest, MacroRecordsOneEvent) {
   FlightRecorder& rec = FlightRecorder::Instance();
   const uint64_t before = rec.head();
   TS_FLIGHT(FlightCategory::kWal, FlightCode::kWalAppend, 1, 2, "unit");
-  if (FlightRecorderCompiledIn()) {
-    EXPECT_EQ(rec.head(), before + 1);
-  } else {
-    EXPECT_EQ(rec.head(), before) << "TS_FLIGHT must compile to nothing";
-  }
+  EXPECT_EQ(rec.head(), before + 1);
 }
 
-TEST(FlightRecorderCompileFlagTest, EngineWorkloadRecordsIffCompiledIn) {
-  // Drive a real durable workload through the storage stack. In a
-  // TEMPSPEC_FLIGHTRECORDER tree the process-wide ring must pick up WAL and
-  // checkpoint events from the engine call sites; in an OFF tree the
-  // identical workload must leave the ring untouched (zero overhead means
-  // zero events, not fewer events).
+TEST(FlightRecorderMacroTest, EngineWorkloadRecordsWalAndCheckpointEvents) {
+  // Drive a real durable workload through the storage stack: the
+  // process-wide ring must pick up WAL and checkpoint events from the engine
+  // call sites.
   TempDir dir;
   const uint64_t before = FlightRecorder::Instance().head();
 
@@ -284,22 +278,16 @@ TEST(FlightRecorderCompileFlagTest, EngineWorkloadRecordsIffCompiledIn) {
   ASSERT_OK(store->Checkpoint());
 
   const uint64_t after = FlightRecorder::Instance().head();
-  if (FlightRecorderCompiledIn()) {
-    EXPECT_GT(after, before);
-    bool saw_wal_append = false;
-    bool saw_checkpoint_end = false;
-    for (const FlightEvent& e : FlightRecorder::Instance().Snapshot()) {
-      if (e.seq < before) continue;
-      if (e.code == FlightCode::kWalAppend) saw_wal_append = true;
-      if (e.code == FlightCode::kCheckpointEnd) saw_checkpoint_end = true;
-    }
-    EXPECT_TRUE(saw_wal_append);
-    EXPECT_TRUE(saw_checkpoint_end);
-  } else {
-    EXPECT_EQ(after, before);
-    EXPECT_EQ(FlightRecorder::Instance().head(), 0u)
-        << "nothing in this binary records when the flag is off";
+  EXPECT_GT(after, before);
+  bool saw_wal_append = false;
+  bool saw_checkpoint_end = false;
+  for (const FlightEvent& e : FlightRecorder::Instance().Snapshot()) {
+    if (e.seq < before) continue;
+    if (e.code == FlightCode::kWalAppend) saw_wal_append = true;
+    if (e.code == FlightCode::kCheckpointEnd) saw_checkpoint_end = true;
   }
+  EXPECT_TRUE(saw_wal_append);
+  EXPECT_TRUE(saw_checkpoint_end);
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ TEST(MetricsHistoryTest, SampleOnceAppendsATimestampedDigest) {
   ASSERT_EQ(history.Entries().size(), 1u);
   EXPECT_EQ(history.TotalSamples(), 1u);
   EXPECT_GT(history.Entries()[0].unix_micros, 0u);
-#ifdef TEMPSPEC_METRICS
   TS_COUNTER_INC("history_test.pinged");
   history.SampleOnce();
   // Entries() returns the ring by value; copy the element before the
@@ -47,7 +46,6 @@ TEST(MetricsHistoryTest, SampleOnceAppendsATimestampedDigest) {
   const auto it = sample.counters.find("history_test.pinged");
   ASSERT_NE(it, sample.counters.end());
   EXPECT_GE(it->second, 1u);
-#endif
 }
 
 TEST(MetricsHistoryTest, RingEvictsOldestAndCountsTotals) {
@@ -231,7 +229,6 @@ TEST_F(SloRegistryTest, HealthJsonCarriesVerdictsAndLabeledSeries) {
   EXPECT_EQ(series.at("count").number, "1");
 }
 
-#ifdef TEMPSPEC_METRICS
 TEST_F(SloRegistryTest, EvaluatePublishesWatchdogGauges) {
   SloRegistry::Instance().Declare("ledger", /*p99_ms=*/1);
   for (int i = 0; i < 100; ++i) {
@@ -245,7 +242,6 @@ TEST_F(SloRegistryTest, EvaluatePublishesWatchdogGauges) {
   EXPECT_EQ(snapshot.gauges.at("tempspec.slo.ok.ledger"), 0);
   EXPECT_GT(snapshot.gauges.at("tempspec.slo.burn_rate_x100.ledger"), 100);
 }
-#endif
 
 // -- SHOW HEALTH / SHOW HISTORY ----------------------------------------------
 

@@ -1,8 +1,6 @@
 // Unit tests for the metrics registry: counter/gauge/histogram semantics,
 // sharded concurrency, log2 bucketing and percentile estimates, scrape JSON,
-// reset-in-place, and the compile-out contract (the TS_* macros register
-// nothing in a TEMPSPEC_METRICS=OFF tree — asserted both ways, so the OFF
-// build job proves zero overhead rather than vacuously passing).
+// reset-in-place, and the TS_* call-site macros.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -245,25 +243,16 @@ TEST(MetricsTest, JsonEscapeHandlesControlCharacters) {
   EXPECT_EQ(JsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
-TEST(MetricsTest, MacrosMatchCompileFlag) {
-  // The conformance suite runs in both trees. In the ON tree the macros must
-  // record; in the OFF tree they must not even register the name — that is
-  // the zero-overhead claim in a testable form.
+TEST(MetricsTest, MacrosRecordIntoTheRegistry) {
   MetricsRegistry& reg = MetricsRegistry::Instance();
   TS_COUNTER_INC("metrics_test.macro_probe");
   TS_COUNTER_ADD("metrics_test.macro_probe", 2);
   TS_GAUGE_SET("metrics_test.macro_gauge", 11);
   TS_HISTOGRAM_OBSERVE("metrics_test.macro_hist", 5);
   const MetricsSnapshot snap = reg.Scrape();
-  if (MetricsCompiledIn()) {
-    EXPECT_EQ(snap.counter("metrics_test.macro_probe"), 3u);
-    EXPECT_EQ(snap.gauges.at("metrics_test.macro_gauge"), 11);
-    EXPECT_EQ(snap.histograms.at("metrics_test.macro_hist").count, 1u);
-  } else {
-    EXPECT_EQ(snap.counters.count("metrics_test.macro_probe"), 0u);
-    EXPECT_EQ(snap.gauges.count("metrics_test.macro_gauge"), 0u);
-    EXPECT_EQ(snap.histograms.count("metrics_test.macro_hist"), 0u);
-  }
+  EXPECT_EQ(snap.counter("metrics_test.macro_probe"), 3u);
+  EXPECT_EQ(snap.gauges.at("metrics_test.macro_gauge"), 11);
+  EXPECT_EQ(snap.histograms.at("metrics_test.macro_hist").count, 1u);
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST_F(QueryTraceTest, IntervalRelationValidRangePopulatesSpan) {
   ExpectPopulatedSpan(trace, "query.valid_range", 0);
 }
 
-TEST_F(QueryTraceTest, RegistryCountsQueriesWhenCompiledIn) {
+TEST_F(QueryTraceTest, RegistryCountsQueries) {
   QueryExecutor exec(*scenario_.relation, ExecutorOptions{.pool = nullptr});
   const uint64_t before =
       MetricsRegistry::Instance().Scrape().counter("executor.queries");
@@ -139,12 +139,7 @@ TEST_F(QueryTraceTest, RegistryCountsQueriesWhenCompiledIn) {
   exec.TimesliceSet(scenario_->elements()[5].valid.at());
   const uint64_t after =
       MetricsRegistry::Instance().Scrape().counter("executor.queries");
-  if (MetricsCompiledIn()) {
-    EXPECT_EQ(after, before + 2);
-  } else {
-    EXPECT_EQ(after, 0u);
-    EXPECT_EQ(before, 0u);
-  }
+  EXPECT_EQ(after, before + 2);
 }
 
 class ExplainAnalyzeTest : public ::testing::Test {

@@ -5,10 +5,8 @@
 // stream that starts inside the declared region and then escapes it must
 // flip the violation counter and move the observed-kind gauge exactly at
 // the escaping element — and the pane-occupancy counters must agree with
-// the same raw-offset oracle the event_region_property_test uses. The
-// compile-out contract is asserted in both directions: a TEMPSPEC_METRICS
-// tree publishes per-relation drift metrics, an OFF tree observes nothing
-// through the engine path.
+// the same raw-offset oracle the event_region_property_test uses. Each
+// relation publishes its drift metrics once it has seen a stamp.
 #include "spec/drift.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +15,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "query/executor.h"
 #include "relation/temporal_relation.h"
 #include "spec/enumeration.h"
 #include "spec/inference.h"
@@ -167,14 +167,6 @@ TEST(DriftMonitorTest, EscapeFlipsViolationAndMovesObservedKindExactly) {
       ASSERT_OK(InsertWithOffset(*rel, *clock, off));
     }
     DriftReport before = rel->DriftState();
-    if (!MetricsCompiledIn()) {
-      // OFF tree: the engine path observes nothing — and the checker still
-      // enforces, so the escaping insert is rejected without any telemetry.
-      EXPECT_EQ(before.observed_count, 0u);
-      ASSERT_NOT_OK(InsertWithOffset(*rel, *clock, plan.escape));
-      EXPECT_EQ(rel->DriftState().violations, 0u);
-      continue;
-    }
     EXPECT_EQ(before.observed_count, plan.inside.size());
     EXPECT_EQ(before.violations, 0u);
     EXPECT_TRUE(before.conforming);
@@ -206,8 +198,78 @@ TEST(DriftMonitorTest, EscapeFlipsViolationAndMovesObservedKindExactly) {
   }
 }
 
+// The drift gate, differentially: once a declared relation drifts, the
+// optimizer stops trusting its declaration and falls back to the index probe
+// (spec/drift.h), and that fallback must answer exactly what the specialized
+// plan answered before the escape. The escaping insert is rejected, so the
+// extension, and hence every timeslice, is unchanged.
+TEST(DriftMonitorTest, DriftedPlanReturnsTheSpecializedPlansPositions) {
+  std::shared_ptr<LogicalClock> clock;
+  ASSERT_OK_AND_ASSIGN(
+      auto rel, OpenDeclared("drift_gate", EventSpecKind::kStronglyBounded,
+                             &clock));
+  // The clock steps 10 s per insert and offsets are 10 s multiples inside
+  // the declared band, so several elements share each valid time.
+  const TimePoint first_tt = clock->Peek();
+  Random rng(20261017);
+  const int kInserts = 300;
+  for (int i = 0; i < kInserts; ++i) {
+    ASSERT_OK(InsertWithOffset(*rel, *clock, S(10 * rng.Uniform(0, 9))));
+  }
+  std::vector<TimePoint> probes;
+  for (int j = -3; j < kInserts + 12; ++j) {
+    probes.push_back(TimePoint::FromMicros(first_tt.micros() + S(10 * j)));
+  }
+  probes.push_back(TimePoint::FromMicros(first_tt.micros() + S(1234)));
+
+  // Runs one timeslice through the optimizer; returns its positions and
+  // reports the kernel that actually ran.
+  const auto timeslice = [&](TimePoint vt, std::string* kernel) {
+    TraceContext trace;
+    ExecutorOptions options;
+    options.trace = &trace;
+    QueryExecutor exec(*rel, options);
+    std::vector<uint64_t> positions = exec.TimesliceSet(vt).positions();
+    *kernel = trace.attr("kernel");
+    return positions;
+  };
+
+  const QueryExecutor planner(*rel);
+  std::vector<std::vector<uint64_t>> before;
+  size_t matches = 0;
+  for (TimePoint vt : probes) {
+    const PlanChoice plan = planner.optimizer().PlanTimeslice(vt);
+    ASSERT_EQ(plan.strategy, ExecutionStrategy::kTransactionWindow);
+    ASSERT_EQ(plan.kernel, ScanKernel::kBanded);
+    std::string kernel;
+    before.push_back(timeslice(vt, &kernel));
+    // A probe whose tt window is empty has nothing for the kernel to scan.
+    if (!before.back().empty()) {
+      EXPECT_EQ(kernel, ScanKernelToToken(ScanKernel::kBanded));
+    }
+    matches += before.back().size();
+  }
+  ASSERT_EQ(matches, static_cast<size_t>(kInserts));  // every vt is probed
+
+  ASSERT_NOT_OK(InsertWithOffset(*rel, *clock, -S(60)));
+  ASSERT_TRUE(rel->IsDrifted());
+  ASSERT_EQ(rel->size(), static_cast<size_t>(kInserts));
+
+  for (size_t i = 0; i < probes.size(); ++i) {
+    SCOPED_TRACE(probes[i].ToString());
+    const PlanChoice plan = planner.optimizer().PlanTimeslice(probes[i]);
+    EXPECT_EQ(plan.strategy, ExecutionStrategy::kValidIndex);
+    EXPECT_EQ(plan.kernel, ScanKernel::kRowAtATime);
+    EXPECT_NE(plan.rationale.find("drift monitor reports DRIFTED"),
+              std::string::npos)
+        << plan.rationale;
+    std::string kernel;
+    EXPECT_EQ(timeslice(probes[i], &kernel), before[i]);
+    EXPECT_EQ(kernel, ScanKernelToToken(ScanKernel::kRowAtATime));
+  }
+}
+
 TEST(DriftMonitorTest, PaneOccupancyMatchesBruteForceOracle) {
-  if (!MetricsCompiledIn()) GTEST_SKIP() << "drift observation compiled out";
   Random rng(20260805);
   const auto panes = EnumerateEventRegions(kDeltaSmall, kDeltaLarge);
   for (int round = 0; round < 20; ++round) {
@@ -320,7 +382,7 @@ TEST(LatticeDistanceTest, Figure2Distances) {
   }
 }
 
-TEST(DriftMetricsComplianceTest, RegistryMatchesCompileFlagBothDirections) {
+TEST(DriftMetricsComplianceTest, FirstStampRegistersTheRelationsGauges) {
   const std::string name = "drift_compliance";
   std::shared_ptr<LogicalClock> clock;
   ASSERT_OK_AND_ASSIGN(
@@ -329,13 +391,8 @@ TEST(DriftMetricsComplianceTest, RegistryMatchesCompileFlagBothDirections) {
   const auto snap = MetricsRegistry::Instance().Scrape();
   const bool registered =
       snap.gauges.count("tempspec.drift.observed_kind." + name) > 0;
-  if (MetricsCompiledIn()) {
-    EXPECT_TRUE(registered) << "metrics tree must publish drift gauges";
-    EXPECT_EQ(rel->DriftState().observed_count, 1u);
-  } else {
-    EXPECT_FALSE(registered) << "OFF tree must register nothing";
-    EXPECT_EQ(rel->DriftState().observed_count, 0u);
-  }
+  EXPECT_TRUE(registered) << "the first stamp must publish drift gauges";
+  EXPECT_EQ(rel->DriftState().observed_count, 1u);
 }
 
 }  // namespace

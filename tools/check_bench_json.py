@@ -53,8 +53,8 @@ def check_file(path):
             return False
     for key in ("metrics_enabled", "failpoints_enabled",
                 "flightrecorder_enabled"):
-        if params[key] not in (0, 1):
-            return fail(path, f"{key} must be 0 or 1")
+        if params[key] != 1:
+            return fail(path, f"{key} must be 1")
     # Build configuration: perf results are only comparable when these match.
     if params.get("sanitizers") not in ("", "thread", "address"):
         return fail(path, f"sanitizers is {params.get('sanitizers')!r}, "
@@ -91,10 +91,9 @@ def check_file(path):
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(metrics.get(section), dict):
             return fail(path, f"metrics.{section} missing or not an object")
-    # A metrics-OFF tree legitimately scrapes empty maps; an ON tree must
-    # have recorded *something* by the time a bench exits.
-    if params["metrics_enabled"] == 1 and not metrics["counters"]:
-        return fail(path, "metrics_enabled=1 but the counters map is empty")
+    # Every bench must have recorded *something* by the time it exits.
+    if not metrics["counters"]:
+        return fail(path, "the counters map is empty")
 
     total = sum(len(metrics[s]) for s in ("counters", "gauges", "histograms"))
     print(f"{path}: OK ({doc['bench_id']}: {len(benchmarks)} benchmark(s), "

@@ -53,15 +53,6 @@ if [ -z "$port" ]; then
   exit 1
 fi
 
-# A flight-recorder-OFF tree has nothing to dump; report and pass so the
-# script is safe to run in any build configuration.
-flight_on="$(curl -sf "http://127.0.0.1:$port/varz" |
-  python3 -c "import json,sys; print(json.load(sys.stdin)['build']['flightrecorder_enabled'])")"
-if [ "$flight_on" != "1" ]; then
-  echo "flight smoke: SKIP (flightrecorder_enabled=$flight_on in this build)"
-  exit 0
-fi
-
 failures=0
 
 # The live-process surfaces: both /debug endpoints must serve line-delimited

@@ -95,8 +95,8 @@ else
   echo "/varz: OK"
 fi
 
-# The debug plane: the flight-recorder ring (schema-checked; an OFF tree
-# legitimately serves an empty page) and the retained-trace ring.
+# The debug plane: the flight-recorder ring (schema-checked) and the
+# retained-trace ring.
 if ! curl -sf "http://127.0.0.1:$port/debug/events" -o "$OUT_DIR/events.jsonl"; then
   echo "/debug/events: FAIL: curl error"
   failures=$((failures + 1))

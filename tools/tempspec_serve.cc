@@ -31,6 +31,10 @@
 //                           (TEMPSPEC_SERVE_SLO); surfaced via
 //                           /debug/health and SHOW HEALTH
 //
+// A numeric value, flag or environment, must be all decimal digits and fit
+// its setting (a port at most 65535); anything else prints the usage and
+// exits with status 2, as an unknown flag does.
+//
 // Every request span is offered to the span store (obs/span_store.h):
 // TEMPSPEC_SLOWLOG_MICROS and TEMPSPEC_SLOWLOG_PATH set its slow view (SHOW
 // SLOW QUERIES, the JSONL sink), TEMPSPEC_TRACE_SAMPLE its sampled view
@@ -42,11 +46,15 @@
 // the storage layer is left consistent. TEMPSPEC_FLIGHT_DUMP=path installs
 // the fatal-signal flight-recorder dump (obs/flight_recorder.h), so even a
 // crash leaves a black-box trace behind.
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -69,16 +77,20 @@ const char* EnvOr(const char* name, const char* fallback) {
   return (v != nullptr && *v != '\0') ? v : fallback;
 }
 
-uint64_t ParseU64Or(const char* text, uint64_t fallback) {
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  return end == text ? fallback : static_cast<uint64_t>(parsed);
+/// \brief Parses `text` as a decimal number no larger than `max`: digits
+/// only, so signs, blanks, suffixes and the empty string are rejected.
+bool ParseNumber(const std::string& text, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
 }
 
 struct ServeConfig {
   std::string addr = "127.0.0.1";
-  uint16_t port = 7437;
+  uint64_t port = 7437;
   std::string data_dir;
   std::string portfile;
   uint64_t max_inflight = 8;
@@ -100,18 +112,43 @@ void Usage(const char* argv0) {
 }
 
 bool ParseArgs(int argc, char** argv, ServeConfig* config) {
+  constexpr uint64_t kSizeMax = std::numeric_limits<size_t>::max();
+  constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+  // Every numeric setting: its flag, its environment variable (if any), and
+  // the largest value it accepts.
+  const struct {
+    const char* flag;
+    const char* env;
+    uint64_t max;
+    uint64_t* value;
+  } numeric[] = {
+      {"--port", "TEMPSPEC_SERVE_PORT", 65535, &config->port},
+      {"--max-inflight", "TEMPSPEC_SERVE_MAX_INFLIGHT", kSizeMax,
+       &config->max_inflight},
+      {"--workers", "TEMPSPEC_SERVE_WORKERS", kSizeMax, &config->workers},
+      {"--default-deadline-ms", nullptr, kU64Max,
+       &config->default_deadline_ms},
+      {"--max-deadline-ms", nullptr, kU64Max, &config->max_deadline_ms},
+      {"--history-ms", "TEMPSPEC_SERVE_HISTORY_MS", kU64Max,
+       &config->history_ms},
+  };
+  const auto bad_number = [argv](const char* name, const std::string& text) {
+    std::fprintf(stderr, "invalid number '%s' for %s\n", text.c_str(), name);
+    Usage(argv[0]);
+    return false;
+  };
+
   config->addr = EnvOr("TEMPSPEC_SERVE_ADDR", config->addr.c_str());
-  config->port = static_cast<uint16_t>(
-      ParseU64Or(std::getenv("TEMPSPEC_SERVE_PORT"), config->port));
   config->data_dir = EnvOr("TEMPSPEC_SERVE_DATA_DIR", "");
   config->portfile = EnvOr("TEMPSPEC_SERVE_PORTFILE", "");
-  config->max_inflight = ParseU64Or(
-      std::getenv("TEMPSPEC_SERVE_MAX_INFLIGHT"), config->max_inflight);
-  config->workers =
-      ParseU64Or(std::getenv("TEMPSPEC_SERVE_WORKERS"), config->workers);
-  config->history_ms = ParseU64Or(std::getenv("TEMPSPEC_SERVE_HISTORY_MS"),
-                                  config->history_ms);
   config->slo_spec = EnvOr("TEMPSPEC_SERVE_SLO", "");
+  for (const auto& setting : numeric) {
+    if (setting.env == nullptr) continue;
+    const char* text = EnvOr(setting.env, nullptr);
+    if (text != nullptr && !ParseNumber(text, setting.max, setting.value)) {
+      return bad_number(setting.env, text);
+    }
+  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -119,24 +156,19 @@ bool ParseArgs(int argc, char** argv, ServeConfig* config) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--addr") {
+    const auto setting =
+        std::find_if(std::begin(numeric), std::end(numeric),
+                     [&key](const auto& n) { return key == n.flag; });
+    if (setting != std::end(numeric)) {
+      if (!ParseNumber(value, setting->max, setting->value)) {
+        return bad_number(setting->flag, value);
+      }
+    } else if (key == "--addr") {
       config->addr = value;
-    } else if (key == "--port") {
-      config->port = static_cast<uint16_t>(ParseU64Or(value.c_str(), 0));
     } else if (key == "--data-dir") {
       config->data_dir = value;
     } else if (key == "--portfile") {
       config->portfile = value;
-    } else if (key == "--max-inflight") {
-      config->max_inflight = ParseU64Or(value.c_str(), 8);
-    } else if (key == "--workers") {
-      config->workers = ParseU64Or(value.c_str(), 2);
-    } else if (key == "--default-deadline-ms") {
-      config->default_deadline_ms = ParseU64Or(value.c_str(), 0);
-    } else if (key == "--max-deadline-ms") {
-      config->max_deadline_ms = ParseU64Or(value.c_str(), 0);
-    } else if (key == "--history-ms") {
-      config->history_ms = ParseU64Or(value.c_str(), 0);
     } else if (key == "--slo") {
       config->slo_spec = value;
     } else if (key == "--help" || key == "-h") {
@@ -192,7 +224,7 @@ int main(int argc, char** argv) {
 
   tempspec::ServerOptions server_options;
   server_options.bind_address = config.addr;
-  server_options.port = config.port;
+  server_options.port = static_cast<uint16_t>(config.port);
   server_options.max_inflight = static_cast<size_t>(config.max_inflight);
   server_options.worker_threads = static_cast<size_t>(config.workers);
   server_options.default_deadline_ms = config.default_deadline_ms;

@@ -528,16 +528,13 @@ int SimulateMain(int argc, char** argv) {
   // Hostile scenario: the drift monitor must have noticed the ledger
   // tenant leaving its declared band, and the optimizer must have stopped
   // trusting the declaration. The actual SHOW/EXPLAIN probes ran mid-flight
-  // (see the timeline loop); here we only assert on what they saw. Drift
-  // observation lives behind TEMPSPEC_METRICS; a metrics-OFF tree cannot
-  // flip, so the flip assertions are compiled out with it.
+  // (see the timeline loop); here we only assert on what they saw.
   if (options.scenario_drift) {
     const uint64_t drift_rejections = ledger_driver->report().drift_rejections;
     if (drift_rejections == 0) {
       failures.push_back(
           "drift scenario ran but no drifted write was rejected");
     }
-#ifdef TEMPSPEC_METRICS
     if (!drift_verified) {
       failures.push_back(
           "drift scenario never reached the mid-run DRIFTED check");
@@ -552,11 +549,6 @@ int SimulateMain(int argc, char** argv) {
             drift_plan_body);
       }
     }
-#else
-    std::fprintf(stderr,
-                 "tempspec_simulate: metrics compiled out; drift-flip "
-                 "assertions skipped\n");
-#endif
   }
 
   // Reconciliation: every acked write must be readable; the live element
@@ -579,7 +571,6 @@ int SimulateMain(int argc, char** argv) {
     }
   }
 
-#ifdef TEMPSPEC_METRICS
   // Metrics reconciliation: server.requests counts every dispatched
   // statement (admission rejections count in server.requests_rejected
   // instead; the GET scrape itself is not a statement). Counters reset on
@@ -693,7 +684,6 @@ int SimulateMain(int argc, char** argv) {
       }
     }
   }
-#endif
 
   // Trace join: execute one more control statement and require its
   // client-generated X-Tempspec-Trace id in the server's trace retention —
@@ -817,7 +807,6 @@ int SimulateMain(int argc, char** argv) {
     b.counters["drifted_flag"] = drifted_flag ? 1 : 0;
     results.push_back(std::move(b));
   }
-#ifdef TEMPSPEC_METRICS
   if (options.slo_p99_ms > 0 && daemon.starts() == 1) {
     bench::BenchResult b;
     b.name = "scenario/health";
@@ -828,7 +817,6 @@ int SimulateMain(int argc, char** argv) {
     b.counters["drift_series_seen"] = drift_series_seen ? 1 : 0;
     results.push_back(std::move(b));
   }
-#endif
   if (options.scenario_crash) {
     bench::BenchResult b;
     b.name = "scenario/crash_recovery";
