@@ -3,8 +3,8 @@
 // Boots the real stack in-process — QueryService (in-memory) behind a
 // NetServer on an ephemeral loopback port — and drives it over TCP like a
 // client would, so every number includes the full path: socket, protocol
-// parse, admission, worker handoff, statement execution, response encode,
-// write-back.
+// parse, admission, leadership handoff, statement execution, response
+// encode, write-back.
 //
 //   BinaryQueryPipelined  — the headline: one connection, TEMPSPEC_P3_PIPELINE
 //                           CURRENT queries in flight back-to-back

@@ -56,9 +56,6 @@ EventLoop::EventLoop() = default;
 EventLoop::~EventLoop() = default;
 
 Status EventLoop::Init() {
-  // Cleared here, not when Run() starts: a Stop() issued before the loop
-  // thread reaches Run() must still end the loop.
-  stop_.store(false, std::memory_order_release);
 #ifdef TEMPSPEC_NET_EPOLL
   backend_fd_.Reset(::epoll_create1(0));
   if (!backend_fd_.valid()) {
@@ -118,19 +115,10 @@ uint64_t EventLoop::AddTimer(std::chrono::milliseconds delay, Task callback) {
 
 void EventLoop::CancelTimer(uint64_t id) { timer_callbacks_.erase(id); }
 
-void EventLoop::Run() {
-  loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
-  while (!stop_.load(std::memory_order_acquire)) {
-    PollOnce(WaitTimeoutMs(/*cap=*/100));
-    RunDueTimers();
-    RunPendingTasks();
-  }
-  loop_thread_id_.store(std::thread::id{}, std::memory_order_release);
-}
-
-void EventLoop::Stop() {
-  stop_.store(true, std::memory_order_release);
-  Wake();
+void EventLoop::RunOnce(int max_wait_ms) {
+  PollOnce(WaitTimeoutMs(max_wait_ms));
+  RunDueTimers();
+  RunPendingTasks();
 }
 
 void EventLoop::Wake() {

@@ -1,24 +1,26 @@
-// Single-threaded readiness event loop: the scheduling heart of the network
-// plane. One loop thread owns every registered fd and all connection state;
-// other threads talk to it only through RunInLoop(), which enqueues a task
-// and wakes the loop via a self-pipe. This is the classic
-// one-loop-per-thread shape (memcached, muduo, redis): no per-connection
-// locks anywhere, because no connection is ever touched off-loop.
+// Readiness event loop: the scheduling heart of the network plane. One
+// thread at a time runs it — the current leader, which owns every
+// registered fd, the timers and the posted tasks while it leads. NetServer
+// (net/server.h) passes the loop between the threads of a leader/followers
+// pool: a leader calls RunOnce() until it admits a statement, then promotes
+// an idle follower and runs the statement itself. Leadership passes under
+// the pool's mutex, so each leader sees everything its predecessor did.
+// Other threads talk to the loop only through RunInLoop(), which enqueues a
+// task and wakes the leader via a self-pipe.
 //
 // Backend: epoll on Linux, poll(2) elsewhere — both level-triggered behind
-// the same Register/SetInterest interface, so server.cc is backend-blind.
+// the same Register/SetInterest interface, so server.cc is backend-blind,
+// and readiness a leader did not dispatch is reported again to the next.
 // Timers are a min-heap consulted for the wait timeout; callbacks run on the
-// loop thread between readiness batches.
+// leader between readiness batches.
 #ifndef TEMPSPEC_NET_EVENT_LOOP_H_
 #define TEMPSPEC_NET_EVENT_LOOP_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -49,46 +51,39 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// \brief Creates the backend (epoll instance / poll tables) and the
-  /// wakeup pipe. Must be called before Run().
+  /// wakeup pipe. Must be called before RunOnce().
   Status Init();
 
   /// \brief Registers `fd` with an interest mask (kEventReadable |
-  /// kEventWritable). The callback runs on the loop thread. Loop thread
-  /// only (call before Run(), or from a task/callback).
+  /// kEventWritable). The callback runs on the current leader. Leader only
+  /// (call before any thread runs the loop, or from a task/callback).
   Status Register(int fd, uint32_t interest, FdCallback callback);
 
-  /// \brief Changes the interest mask of a registered fd. Loop thread only.
+  /// \brief Changes the interest mask of a registered fd. Leader only.
   Status SetInterest(int fd, uint32_t interest);
 
   /// \brief Removes `fd` from the loop (does not close it). Safe to call
-  /// from inside the fd's own callback. Loop thread only.
+  /// from inside the fd's own callback. Leader only.
   void Deregister(int fd);
 
-  /// \brief Enqueues a task for the loop thread and wakes it. Thread-safe;
-  /// the only cross-thread entry point. Tasks enqueued from the loop thread
-  /// itself still defer to the next iteration (no reentrancy surprises).
+  /// \brief Enqueues a task for the current leader and wakes it.
+  /// Thread-safe; the only cross-thread entry point. Tasks enqueued by the
+  /// leader itself still defer to the next pass (no reentrancy surprises).
   void RunInLoop(Task task);
 
-  /// \brief Schedules `callback` to run on the loop thread after `delay`.
-  /// Returns a timer id for CancelTimer. Loop thread only.
+  /// \brief Schedules `callback` to run on the leader after `delay`.
+  /// Returns a timer id for CancelTimer. Leader only.
   uint64_t AddTimer(std::chrono::milliseconds delay, Task callback);
 
-  /// \brief Cancels a pending timer (no-op when already fired). Loop thread
+  /// \brief Cancels a pending timer (no-op when already fired). Leader
   /// only.
   void CancelTimer(uint64_t id);
 
-  /// \brief Runs the loop on the calling thread until Stop().
-  void Run();
-
-  /// \brief Asks the loop to exit; thread-safe, returns immediately. A
-  /// Stop() issued before Run() makes Run() return at once; Init() clears it.
-  void Stop();
-
-  /// \brief True when called from the thread currently inside Run().
-  bool InLoopThread() const {
-    return loop_thread_id_.load(std::memory_order_acquire) ==
-           std::this_thread::get_id();
-  }
+  /// \brief One pass on the calling thread, which leads for its duration:
+  /// waits up to `max_wait_ms` (less when a timer is due) for readiness,
+  /// dispatches it, then runs due timers and posted tasks. At most one
+  /// thread may be inside RunOnce() at a time.
+  void RunOnce(int max_wait_ms);
 
  private:
   struct Timer {
@@ -123,9 +118,6 @@ class EventLoop {
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
   std::unordered_map<uint64_t, Task> timer_callbacks_;
   uint64_t next_timer_id_ = 1;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<std::thread::id> loop_thread_id_{};
 };
 
 }  // namespace tempspec

@@ -19,7 +19,7 @@
 // the statement's output verbatim; kError a one-line error string prefixed
 // with the canonical status-code name; kRejected means admission control
 // refused the request before execution (back off and retry). kPing/kPong are
-// liveness no-ops that skip the worker pool entirely.
+// liveness no-ops that the leader answers without admission.
 //
 // The decoder is incremental and hostile-input-safe: any malformed header
 // (bad magic, unknown type, nonzero reserved bits, oversized payload) or a

@@ -16,58 +16,6 @@
 
 namespace tempspec {
 
-// ---------------------------------------------------------------------------
-// WorkerPool
-
-WorkerPool::WorkerPool(size_t threads) {
-  threads_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { Work(); });
-  }
-}
-
-WorkerPool::~WorkerPool() { Shutdown(); }
-
-void WorkerPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return;
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void WorkerPool::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void WorkerPool::Work() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      // Drain queued work even during shutdown: an admitted statement's
-      // completion must reach its connection, never vanish.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// NetServer
-
 namespace {
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
@@ -153,26 +101,39 @@ int StatusToHttpCode(const Status& status) {
 
 constexpr char kTextPlain[] = "text/plain; charset=utf-8";
 
+// Longest one loop pass blocks; readiness, a timer or a posted task ends it
+// sooner.
+constexpr int kLeaderWaitMs = 100;
+
 }  // namespace
 
 struct NetServer::Connection {
   Connection(const HttpLimits& limits, size_t max_frame_payload)
       : http(limits), decoder(max_frame_payload) {}
 
-  OwnedFd fd;
+  // Set at accept, then read-only.
   uint64_t id = 0;
   std::string peer;  // "ip:port" of the remote end, for span/slowlog attrs
+
+  // Leader-only: the input side. `fd` and `closed` change only on the
+  // leader and under `mu`, because a statement's thread writes through `fd`.
+  OwnedFd fd;
+  bool closed = false;
   enum class Proto { kUnknown, kHttp, kFrame } proto = Proto::kUnknown;
   std::string inbuf;  // raw bytes ahead of the protocol machinery
   HttpParser http;
   FrameDecoder decoder;
+  bool reading_paused = false;
+
+  // Guarded by `mu`: the output side, and the hand-over between the leader
+  // and the thread running this connection's statement.
+  std::mutex mu;
   std::string outbuf;
   size_t out_offset = 0;
   uint32_t interest = kEventReadable;
-  bool processing = false;  // one statement on the workers for this conn
-  bool reading_paused = false;
+  bool processing = false;     // a statement is admitted for this connection
+  bool input_pending = false;  // input arrived while it was
   bool close_after_flush = false;
-  bool closed = false;
   std::shared_ptr<TraceContext> active_trace;  // cancelled on disconnect
   std::chrono::steady_clock::time_point last_activity;
 };
@@ -206,18 +167,17 @@ Status NetServer::Start() {
   TS_RETURN_NOT_OK(loop_.Register(listen_fd_.get(), kEventReadable,
                                   [this](uint32_t) { OnAccept(); }));
   bound_port_.store(port, std::memory_order_release);
-  workers_ = std::make_unique<WorkerPool>(
-      std::max<size_t>(1, options_.worker_threads));
+  // No thread leads yet, so this thread may still touch the loop.
+  if (options_.idle_timeout_ms > 0) {
+    loop_.AddTimer(std::chrono::milliseconds(1000),
+                   [this] { SweepIdleConnections(); });
+  }
+  stopping_ = false;
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] {
-    // Pre-Run timer setup happens on the loop thread, honoring the
-    // loop-thread-only contract of AddTimer.
-    if (options_.idle_timeout_ms > 0) {
-      loop_.AddTimer(std::chrono::milliseconds(1000),
-                     [this] { SweepIdleConnections(); });
-    }
-    loop_.Run();
-  });
+  const size_t threads = std::max<size_t>(1, options_.worker_threads) + 1;
+  for (size_t i = 0; i < threads; ++i) {
+    threads_.emplace_back([this] { ServeThread(); });
+  }
   TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerStart, port, 0, "");
   TS_COUNTER_INC("server.starts");
   return Status::OK();
@@ -225,23 +185,29 @@ Status NetServer::Start() {
 
 void NetServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Cancel whatever the workers are executing so the drain below is quick.
+  // The leader stops the pool and cancels every admitted statement, queued
+  // or running, so the drain below is quick. The pool still answers them:
+  // an admitted statement's reply must reach its connection, never vanish.
   loop_.RunInLoop([this] {
+    {
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      stopping_ = true;
+    }
+    pool_cv_.notify_all();
     for (auto& [fd, conn] : connections_) {
+      std::lock_guard<std::mutex> lock(conn->mu);
       if (conn->active_trace != nullptr) conn->active_trace->RequestCancel();
     }
   });
-  // Admitted statements finish (cancelled or not) and post their
-  // completions; the loop is still alive to run them.
-  if (workers_ != nullptr) workers_->Shutdown();
-  loop_.Stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop thread has exited; connection state is safe to touch here.
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
+  // The pool has exited; connection state is safe to touch here.
   TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerStop,
             accepted_.load(std::memory_order_relaxed), 0, "");
-  for (auto& [fd, conn] : connections_) conn->closed = true;
-  connections_.clear();
-  open_connections_.store(0, std::memory_order_relaxed);
+  while (!connections_.empty()) {
+    CloseConnection(std::shared_ptr<Connection>(connections_.begin()->second));
+  }
+  loop_.Deregister(listen_fd_.get());
   listen_fd_.Reset();
 }
 
@@ -254,8 +220,42 @@ ServerStats NetServer::Stats() const {
   stats.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   stats.open_connections = open_connections_.load(std::memory_order_relaxed);
-  stats.inflight = inflight_published_.load(std::memory_order_relaxed);
+  stats.inflight = inflight_.load(std::memory_order_relaxed);
   return stats;
+}
+
+bool NetServer::Runnable() const {
+  return !queue_.empty() &&
+         executing_ < std::max<size_t>(1, options_.worker_threads);
+}
+
+void NetServer::ServeThread() {
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  while (true) {
+    pool_cv_.wait(lock, [this] { return Runnable() || stopping_ || !leading_; });
+    if (Runnable()) {
+      Statement statement = std::move(queue_.front());
+      queue_.pop_front();
+      ++executing_;
+      // With a slot free, some other thread is idle: promote it, so the
+      // loop is never left unattended while this one executes.
+      const bool promote = !leading_;
+      lock.unlock();
+      if (promote) pool_cv_.notify_one();
+      RunStatement(std::move(statement));
+      lock.lock();
+      --executing_;
+      continue;
+    }
+    if (stopping_) return;
+    leading_ = true;
+    while (!stopping_ && !Runnable()) {
+      lock.unlock();
+      loop_.RunOnce(kLeaderWaitMs);
+      lock.lock();
+    }
+    leading_ = false;
+  }
 }
 
 void NetServer::OnAccept() {
@@ -325,7 +325,6 @@ void NetServer::OnConnectionEvent(const std::shared_ptr<Connection>& conn,
       const ssize_t n = ::read(conn->fd.get(), buf, sizeof(buf));
       if (n > 0) {
         conn->inbuf.append(buf, static_cast<size_t>(n));
-        conn->last_activity = std::chrono::steady_clock::now();
         if (n < static_cast<ssize_t>(sizeof(buf))) break;  // drained
         continue;
       }
@@ -337,6 +336,10 @@ void NetServer::OnConnectionEvent(const std::shared_ptr<Connection>& conn,
       CloseConnection(conn);
       return;
     }
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      conn->last_activity = std::chrono::steady_clock::now();
+    }
     ProcessInput(conn);
     if (conn->closed) return;
   }
@@ -344,100 +347,100 @@ void NetServer::OnConnectionEvent(const std::shared_ptr<Connection>& conn,
 }
 
 void NetServer::ProcessInput(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed || conn->processing || conn->close_after_flush) return;
-  if (conn->proto == Connection::Proto::kUnknown) {
-    if (conn->inbuf.size() < 4) return;
-    // The TSP1 magic on the wire ("TSP1") is not a prefix of any HTTP
-    // method, so 4 bytes decide the protocol unambiguously.
-    static const char kMagicBytes[4] = {0x54, 0x53, 0x50, 0x31};
-    conn->proto =
-        std::memcmp(conn->inbuf.data(), kMagicBytes, 4) == 0
-            ? Connection::Proto::kFrame
-            : Connection::Proto::kHttp;
-  }
-  if (conn->proto == Connection::Proto::kHttp) {
-    ProcessHttp(conn);
-  } else {
-    ProcessFrames(conn);
+  while (!conn->closed) {
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->close_after_flush) return;
+      if (conn->processing) {
+        // The statement's thread posts the input back when it finishes.
+        conn->input_pending =
+            !conn->inbuf.empty() || conn->decoder.buffered_bytes() > 0;
+        return;
+      }
+    }
+    if (conn->proto == Connection::Proto::kUnknown) {
+      if (conn->inbuf.size() < 4) return;
+      // The TSP1 magic on the wire ("TSP1") is not a prefix of any HTTP
+      // method, so 4 bytes decide the protocol unambiguously.
+      static const char kMagicBytes[4] = {0x54, 0x53, 0x50, 0x31};
+      conn->proto =
+          std::memcmp(conn->inbuf.data(), kMagicBytes, 4) == 0
+              ? Connection::Proto::kFrame
+              : Connection::Proto::kHttp;
+    }
+    const bool handled = conn->proto == Connection::Proto::kHttp
+                             ? ProcessHttp(conn)
+                             : ProcessFrame(conn);
+    if (!handled) return;
   }
 }
 
-void NetServer::ProcessHttp(const std::shared_ptr<Connection>& conn) {
-  while (!conn->closed && !conn->processing && !conn->close_after_flush) {
-    if (!conn->inbuf.empty()) {
-      const size_t consumed =
-          conn->http.Feed(conn->inbuf.data(), conn->inbuf.size());
-      conn->inbuf.erase(0, consumed);
-    }
-    if (conn->http.error()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      TS_COUNTER_INC("server.protocol_errors");
-      conn->close_after_flush = true;  // before the send: FlushWrites may
-                                       // drain fully inside it and close
-      SendHttpResponse(conn, conn->http.error_code(), kTextPlain,
-                       conn->http.error_reason() + "\n",
-                       /*keep_alive=*/false);
-      return;
-    }
-    if (!conn->http.complete()) return;  // wait for more bytes
-    RouteHttpRequest(conn);
-    if (conn->processing) return;  // parser resets when the statement lands
-    if (!conn->closed) conn->http.Reset();
-    if (conn->inbuf.empty()) return;
+bool NetServer::ProcessHttp(const std::shared_ptr<Connection>& conn) {
+  if (!conn->inbuf.empty()) {
+    const size_t consumed =
+        conn->http.Feed(conn->inbuf.data(), conn->inbuf.size());
+    conn->inbuf.erase(0, consumed);
   }
+  if (conn->http.error()) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    TS_COUNTER_INC("server.protocol_errors");
+    SendHttpResponse(conn, conn->http.error_code(), kTextPlain,
+                     conn->http.error_reason() + "\n", /*keep_alive=*/false);
+    return false;
+  }
+  if (!conn->http.complete()) return false;  // wait for more bytes
+  RouteHttpRequest(conn);
+  conn->http.Reset();  // an admitted statement holds its own copy
+  return !conn->inbuf.empty();
 }
 
-void NetServer::ProcessFrames(const std::shared_ptr<Connection>& conn) {
+bool NetServer::ProcessFrame(const std::shared_ptr<Connection>& conn) {
   if (!conn->inbuf.empty()) {
     conn->decoder.Feed(conn->inbuf.data(), conn->inbuf.size());
     conn->inbuf.clear();
   }
-  while (!conn->closed && !conn->processing && !conn->close_after_flush) {
-    Result<std::optional<Frame>> next = conn->decoder.Next();
-    if (!next.ok()) {
+  Result<std::optional<Frame>> next = conn->decoder.Next();
+  if (!next.ok()) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    TS_COUNTER_INC("server.protocol_errors");
+    Frame error;
+    error.type = FrameType::kError;
+    error.payload = next.status().ToString();
+    SendFrame(conn, error, /*then_close=*/true);
+    return false;
+  }
+  if (!next.ValueOrDie().has_value()) return false;  // truncated: need bytes
+  Frame frame = std::move(*next.ValueOrDie());
+  switch (frame.type) {
+    case FrameType::kPing: {
+      Frame pong;
+      pong.type = FrameType::kPong;
+      pong.payload = std::move(frame.payload);
+      SendFrame(conn, pong);
+      return true;
+    }
+    case FrameType::kQuery: {
+      WireTraceInfo wire;
+      if (frame.has_trace()) {
+        wire.hi = frame.trace_hi;
+        wire.lo = frame.trace_lo;
+        wire.span = frame.span_id;
+        wire.set = true;
+      }
+      DispatchStatement(conn, std::move(frame.payload),
+                        frame.has_deadline() ? frame.deadline_millis : 0,
+                        wire, /*is_http=*/false, /*http_keep_alive=*/true);
+      return true;
+    }
+    default: {
+      // kResult/kError/kPong/kRejected are server-to-client only.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       TS_COUNTER_INC("server.protocol_errors");
       Frame error;
       error.type = FrameType::kError;
-      error.payload = next.status().ToString();
-      conn->close_after_flush = true;
-      SendFrame(conn, error);
-      return;
-    }
-    if (!next.ValueOrDie().has_value()) return;  // truncated: need bytes
-    Frame frame = std::move(*next.ValueOrDie());
-    switch (frame.type) {
-      case FrameType::kPing: {
-        Frame pong;
-        pong.type = FrameType::kPong;
-        pong.payload = std::move(frame.payload);
-        SendFrame(conn, pong);
-        continue;
-      }
-      case FrameType::kQuery: {
-        WireTraceInfo wire;
-        if (frame.has_trace()) {
-          wire.hi = frame.trace_hi;
-          wire.lo = frame.trace_lo;
-          wire.span = frame.span_id;
-          wire.set = true;
-        }
-        DispatchStatement(conn, std::move(frame.payload),
-                          frame.has_deadline() ? frame.deadline_millis : 0,
-                          wire, /*is_http=*/false, /*http_keep_alive=*/true);
-        continue;
-      }
-      default: {
-        // kResult/kError/kPong/kRejected are server-to-client only.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        TS_COUNTER_INC("server.protocol_errors");
-        Frame error;
-        error.type = FrameType::kError;
-        error.payload = "Invalid argument: client sent a server-only frame type";
-        conn->close_after_flush = true;
-        SendFrame(conn, error);
-        return;
-      }
+      error.payload = "Invalid argument: client sent a server-only frame type";
+      SendFrame(conn, error, /*then_close=*/true);
+      return false;
     }
   }
 }
@@ -446,7 +449,6 @@ void NetServer::RouteHttpRequest(const std::shared_ptr<Connection>& conn) {
   const HttpRequest& request = conn->http.request();
   const bool keep_alive = WantsKeepAlive(request);
   if (request.method == "GET") {
-    if (!keep_alive) conn->close_after_flush = true;
     auto it = http_handlers_.find(request.target);
     if (it != http_handlers_.end()) {
       HttpResponse response;
@@ -469,7 +471,6 @@ void NetServer::RouteHttpRequest(const std::shared_ptr<Connection>& conn) {
   }
   if (request.method == "POST") {
     if (request.target != "/query" || !statement_handler_) {
-      if (!keep_alive) conn->close_after_flush = true;
       SendHttpResponse(conn, 404, kTextPlain,
                        "not found; statements go to POST /query\n",
                        keep_alive);
@@ -479,7 +480,6 @@ void NetServer::RouteHttpRequest(const std::shared_ptr<Connection>& conn) {
     if (const std::string* header =
             request.FindHeader("X-Tempspec-Deadline-Ms")) {
       if (!ParseU64(*header, &deadline_ms)) {
-        if (!keep_alive) conn->close_after_flush = true;
         SendHttpResponse(conn, 400, kTextPlain,
                          "malformed X-Tempspec-Deadline-Ms\n", keep_alive);
         return;
@@ -495,7 +495,6 @@ void NetServer::RouteHttpRequest(const std::shared_ptr<Connection>& conn) {
                       keep_alive);
     return;
   }
-  if (!keep_alive) conn->close_after_flush = true;
   SendHttpResponse(conn, 405, kTextPlain, "method not allowed\n", keep_alive);
 }
 
@@ -503,16 +502,16 @@ void NetServer::DispatchStatement(const std::shared_ptr<Connection>& conn,
                                   std::string statement, uint64_t deadline_ms,
                                   const WireTraceInfo& wire, bool is_http,
                                   bool http_keep_alive) {
-  if (inflight_ >= options_.max_inflight) {
+  const uint64_t inflight = inflight_.load(std::memory_order_acquire);
+  if (inflight >= options_.max_inflight) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     TS_COUNTER_INC("server.requests_rejected");
     TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerReject,
-              static_cast<int64_t>(conn->id),
-              static_cast<int64_t>(inflight_), "max_inflight");
+              static_cast<int64_t>(conn->id), static_cast<int64_t>(inflight),
+              "max_inflight");
     const char* message =
         "overloaded: too many in-flight statements, retry later";
     if (is_http) {
-      if (!http_keep_alive) conn->close_after_flush = true;
       SendHttpResponse(conn, 503, kTextPlain, std::string(message) + "\n",
                        http_keep_alive);
     } else {
@@ -524,9 +523,9 @@ void NetServer::DispatchStatement(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  ++inflight_;
-  inflight_published_.store(inflight_, std::memory_order_relaxed);
-  TS_GAUGE_SET("server.inflight", static_cast<int64_t>(inflight_));
+  // Only the leader raises the count, so the check above cannot be raced.
+  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  TS_GAUGE_ADD("server.inflight", 1);
   requests_.fetch_add(1, std::memory_order_relaxed);
   TS_COUNTER_INC("server.requests");
   TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerRequest,
@@ -558,151 +557,171 @@ void NetServer::DispatchStatement(const std::shared_ptr<Connection>& conn,
               static_cast<int64_t>(conn->id),
               static_cast<int64_t>(effective_ms), "");
   }
-  conn->processing = true;
-  conn->active_trace = trace;
-
-  StatementHandler handler = statement_handler_;
-  const auto admitted = std::chrono::steady_clock::now();
-  workers_->Submit([this, conn, trace, handler = std::move(handler),
-                    statement = std::move(statement), admitted, is_http,
-                    http_keep_alive]() mutable {
-    const auto picked_up = std::chrono::steady_clock::now();
-    trace->AddStage("queue.wait", MicrosBetween(admitted, picked_up));
-    Status status;
-    std::string payload;
-    if (trace->CancellationRequested()) {
-      status = Status::DeadlineExceeded(
-          "deadline expired while the statement was queued");
-    } else if (!handler) {  // frame clients can reach here with no handler
-      status = Status::NotImplemented("no statement handler installed");
-    } else {
-      Result<std::string> result = handler(statement, trace.get());
-      if (result.ok()) {
-        payload = std::move(result).ValueOrDie();
-      } else {
-        status = result.status();
-      }
-    }
-    trace->AddStage("execute",
-                    MicrosBetween(picked_up, std::chrono::steady_clock::now()));
-    loop_.RunInLoop([this, conn, trace, statement = std::move(statement),
-                     status = std::move(status), payload = std::move(payload),
-                     is_http, http_keep_alive]() {
-      CompleteStatement(conn, trace, statement, status, payload, is_http,
-                        http_keep_alive);
-    });
-  });
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->processing = true;
+    conn->active_trace = trace;
+  }
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  // Admitted after Stop() cancelled the others: cancel it too.
+  if (stopping_) trace->RequestCancel();
+  queue_.push_back(Statement{conn, std::move(trace), std::move(statement),
+                             std::chrono::steady_clock::now(), is_http,
+                             http_keep_alive});
 }
 
-void NetServer::CompleteStatement(const std::shared_ptr<Connection>& conn,
-                                  const std::shared_ptr<TraceContext>& trace,
-                                  const std::string& statement,
-                                  const Status& status,
-                                  const std::string& payload, bool is_http,
-                                  bool http_keep_alive) {
-  --inflight_;
-  inflight_published_.store(inflight_, std::memory_order_relaxed);
-  TS_GAUGE_SET("server.inflight", static_cast<int64_t>(inflight_));
-  conn->processing = false;
-  conn->active_trace.reset();
+void NetServer::RunStatement(Statement statement) {
+  const std::shared_ptr<Connection>& conn = statement.conn;
+  TraceContext* trace = statement.trace.get();
+  const auto picked_up = std::chrono::steady_clock::now();
+  trace->AddStage("queue.wait", MicrosBetween(statement.admitted, picked_up));
+  Status status;
+  std::string payload;
+  if (trace->CancellationRequested()) {
+    status = Status::DeadlineExceeded(
+        "deadline expired while the statement was queued");
+  } else if (!statement_handler_) {  // frame clients can reach here with no handler
+    status = Status::NotImplemented("no statement handler installed");
+  } else {
+    Result<std::string> result = statement_handler_(statement.text, trace);
+    if (result.ok()) {
+      payload = std::move(result).ValueOrDie();
+    } else {
+      status = result.status();
+    }
+  }
+  const auto respond_start = std::chrono::steady_clock::now();
+  trace->AddStage("execute", MicrosBetween(picked_up, respond_start));
+  // Released before the reply is written, so a client that sends its next
+  // statement on reading this reply finds the permit free.
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  TS_GAUGE_ADD("server.inflight", -1);
   if (status.IsDeadlineExceeded()) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     TS_COUNTER_INC("server.deadline_exceeded");
   }
 
-  const auto respond_start = std::chrono::steady_clock::now();
-  const bool disconnected = conn->closed;  // client went away mid-execution
-  if (!disconnected) {
-    if (is_http) {
-      conn->http.Reset();
-      if (!http_keep_alive) conn->close_after_flush = true;
-      if (status.ok()) {
-        SendHttpResponse(conn, 200, kTextPlain, payload, http_keep_alive);
+  bool resume = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->processing = false;
+    conn->active_trace.reset();
+    if (!conn->closed) {  // else the client went away mid-execution
+      if (statement.is_http) {
+        const bool keep_alive = statement.http_keep_alive;
+        if (!keep_alive) conn->close_after_flush = true;
+        conn->outbuf +=
+            status.ok()
+                ? BuildHttpResponse(200, kTextPlain, payload, keep_alive)
+                : BuildHttpResponse(StatusToHttpCode(status), kTextPlain,
+                                    status.ToString() + "\n", keep_alive);
       } else {
-        SendHttpResponse(conn, StatusToHttpCode(status), kTextPlain,
-                         status.ToString() + "\n", http_keep_alive);
+        Frame frame;
+        frame.type = status.ok() ? FrameType::kResult : FrameType::kError;
+        frame.payload = status.ok() ? std::move(payload) : status.ToString();
+        EncodeFrame(frame, &conn->outbuf);
       }
-    } else {
-      Frame frame;
-      frame.type = status.ok() ? FrameType::kResult : FrameType::kError;
-      frame.payload = status.ok() ? payload : status.ToString();
-      SendFrame(conn, frame);
+      FlushLocked(*conn);
+      // Whatever is left needs the leader: the rest of a partial write,
+      // input that arrived meanwhile, a close, or an interest change.
+      resume = conn->input_pending || conn->close_after_flush ||
+               conn->out_offset < conn->outbuf.size() ||
+               conn->interest != kEventReadable;
+      conn->input_pending = false;
     }
   }
+  if (resume) loop_.RunInLoop([this, conn] { ResumeConnection(conn); });
 
   // Finalize and record the server-owned request span into the span store,
   // where other planes join it by trace id. Recorded even for a
   // disconnected client: the work happened.
-  if (trace != nullptr && trace->started()) {
-    trace->AddStage(
-        "respond",
-        MicrosBetween(respond_start, std::chrono::steady_clock::now()));
-    trace->SetAttr("outcome",
-                   status.ok() ? "ok" : StatusCodeToString(status.code()));
-    trace->End();
-    SpanStore::Instance().Record(*trace, statement);
-  }
+  trace->AddStage("respond", MicrosBetween(respond_start,
+                                           std::chrono::steady_clock::now()));
+  trace->SetAttr("outcome",
+                 status.ok() ? "ok" : StatusCodeToString(status.code()));
+  trace->End();
+  SpanStore::Instance().Record(*trace, statement.text);
+}
 
-  if (disconnected || conn->closed) return;
+void NetServer::ResumeConnection(const std::shared_ptr<Connection>& conn) {
+  FlushWrites(conn);
   ProcessInput(conn);  // pipelined requests buffered during execution
-  if (!conn->closed) UpdateInterest(conn);
+  UpdateInterest(conn);
 }
 
 void NetServer::SendHttpResponse(const std::shared_ptr<Connection>& conn,
                                  int code, std::string_view content_type,
                                  std::string_view body, bool keep_alive) {
   if (conn->closed) return;
+  std::unique_lock<std::mutex> lock(conn->mu);
+  if (!keep_alive) conn->close_after_flush = true;
   conn->outbuf += BuildHttpResponse(code, content_type, body, keep_alive);
-  FlushWrites(conn);
-  if (!conn->closed) UpdateInterest(conn);
+  FlushAndUpdate(conn, lock);
 }
 
 void NetServer::SendFrame(const std::shared_ptr<Connection>& conn,
-                          const Frame& frame) {
+                          const Frame& frame, bool then_close) {
   if (conn->closed) return;
+  std::unique_lock<std::mutex> lock(conn->mu);
+  if (then_close) conn->close_after_flush = true;
   EncodeFrame(frame, &conn->outbuf);
-  FlushWrites(conn);
-  if (!conn->closed) UpdateInterest(conn);
+  FlushAndUpdate(conn, lock);
 }
 
-void NetServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
-  while (conn->out_offset < conn->outbuf.size()) {
+bool NetServer::FlushLocked(Connection& conn) {
+  while (conn.out_offset < conn.outbuf.size()) {
     const ssize_t n =
-        ::write(conn->fd.get(), conn->outbuf.data() + conn->out_offset,
-                conn->outbuf.size() - conn->out_offset);
+        ::write(conn.fd.get(), conn.outbuf.data() + conn.out_offset,
+                conn.outbuf.size() - conn.out_offset);
     if (n > 0) {
-      conn->out_offset += static_cast<size_t>(n);
-      conn->last_activity = std::chrono::steady_clock::now();
+      conn.out_offset += static_cast<size_t>(n);
+      conn.last_activity = std::chrono::steady_clock::now();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
       break;
     }
-    CloseConnection(conn);  // EPIPE, ECONNRESET, ...
+    // EPIPE, ECONNRESET, ...: nothing more can be delivered.
+    conn.outbuf.clear();
+    conn.out_offset = 0;
+    conn.close_after_flush = true;
+    return false;
+  }
+  if (conn.out_offset == conn.outbuf.size()) {
+    conn.outbuf.clear();
+    conn.out_offset = 0;
+    return !conn.close_after_flush;
+  }
+  if (conn.out_offset > 1024 * 1024) {
+    conn.outbuf.erase(0, conn.out_offset);
+    conn.out_offset = 0;
+  }
+  return true;
+}
+
+void NetServer::FlushAndUpdate(const std::shared_ptr<Connection>& conn,
+                               std::unique_lock<std::mutex>& lock) {
+  if (FlushLocked(*conn)) {
+    UpdateInterestLocked(*conn);
     return;
   }
-  if (conn->out_offset == conn->outbuf.size()) {
-    conn->outbuf.clear();
-    conn->out_offset = 0;
-    if (conn->close_after_flush) CloseConnection(conn);
-  } else if (conn->out_offset > 1024 * 1024) {
-    conn->outbuf.erase(0, conn->out_offset);
-    conn->out_offset = 0;
-  }
+  lock.unlock();
+  CloseConnection(conn);
+}
+
+void NetServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
+  if (conn->closed) return;
+  std::unique_lock<std::mutex> lock(conn->mu);
+  FlushAndUpdate(conn, lock);
 }
 
 void NetServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
-  const size_t pending_out = conn->outbuf.size() - conn->out_offset;
-  // Write-side backpressure with hysteresis: pause reads at the high
-  // watermark, resume at half, so a slow reader oscillates gently instead
-  // of toggling epoll per byte.
-  if (!conn->reading_paused && pending_out >= options_.write_high_watermark) {
-    conn->reading_paused = true;
-  } else if (conn->reading_paused &&
-             pending_out <= options_.write_high_watermark / 2) {
-    conn->reading_paused = false;
-  }
+  std::lock_guard<std::mutex> lock(conn->mu);
+  UpdateInterestLocked(*conn);
+}
+
+void NetServer::UpdateInterestLocked(Connection& conn) {
   // Input-side bound: while a statement executes, buffer at most one more
   // maximal request's worth of pipelined bytes.
   const size_t input_cap =
@@ -711,28 +730,40 @@ void NetServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
                    options_.http_limits.max_request_line_bytes +
                    options_.http_limits.max_body_bytes) +
       4096;
-  const bool input_saturated =
-      conn->processing &&
-      conn->inbuf.size() + conn->decoder.buffered_bytes() >= input_cap;
+  const size_t buffered_in = conn.inbuf.size() + conn.decoder.buffered_bytes();
+  const size_t pending_out = conn.outbuf.size() - conn.out_offset;
+  // Write-side backpressure with hysteresis: pause reads at the high
+  // watermark, resume at half, so a slow reader oscillates gently instead
+  // of toggling epoll per byte.
+  if (!conn.reading_paused && pending_out >= options_.write_high_watermark) {
+    conn.reading_paused = true;
+  } else if (conn.reading_paused &&
+             pending_out <= options_.write_high_watermark / 2) {
+    conn.reading_paused = false;
+  }
+  const bool input_saturated = conn.processing && buffered_in >= input_cap;
 
   uint32_t want = 0;
-  if (!conn->reading_paused && !input_saturated && !conn->close_after_flush) {
+  if (!conn.reading_paused && !input_saturated && !conn.close_after_flush) {
     want |= kEventReadable;
   }
   if (pending_out > 0) want |= kEventWritable;
-  if (want != conn->interest) {
-    if (loop_.SetInterest(conn->fd.get(), want).ok()) conn->interest = want;
+  if (want != conn.interest) {
+    if (loop_.SetInterest(conn.fd.get(), want).ok()) conn.interest = want;
   }
 }
 
 void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
-  conn->closed = true;
-  // A disconnect is a cancellation: no one is left to read the answer.
-  if (conn->active_trace != nullptr) conn->active_trace->RequestCancel();
   loop_.Deregister(conn->fd.get());
   connections_.erase(conn->fd.get());
-  conn->fd.Reset();
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->closed = true;
+    // A disconnect is a cancellation: no one is left to read the answer.
+    if (conn->active_trace != nullptr) conn->active_trace->RequestCancel();
+    conn->fd.Reset();
+  }
   open_connections_.store(connections_.size(), std::memory_order_relaxed);
   TS_GAUGE_SET("server.open_connections",
                static_cast<int64_t>(connections_.size()));
@@ -743,6 +774,7 @@ void NetServer::SweepIdleConnections() {
   const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
   std::vector<std::shared_ptr<Connection>> idle;
   for (const auto& [fd, conn] : connections_) {
+    std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->processing || conn->outbuf.size() > conn->out_offset) continue;
     if (now - conn->last_activity >= limit) idle.push_back(conn);
   }

@@ -1,14 +1,26 @@
 // NetServer: the engine's network front door.
 //
-// One event-loop thread (net/event_loop.h) owns the listener and every
-// connection; a small worker pool executes query statements so a long scan
-// never stalls the loop. The server speaks two protocols on one port,
-// distinguished by the first bytes of the connection: anything starting
-// with the TSP1 magic is the binary frame protocol (net/frame.h), anything
-// else is HTTP/1.x (net/http.h). The telemetry endpoints (/metrics, /varz,
-// /healthz, /debug/*) and the query endpoint (POST /query) are both plain
-// HTTP handlers registered on the same server, so the exporter and the
-// daemon share a single network stack.
+// A leader/followers pool of `worker_threads + 1` threads shares one event
+// loop (net/event_loop.h). Exactly one thread leads at a time: it polls,
+// accepts, reads and parses requests, admits statements, answers telemetry
+// and runs the loop's timers and posted tasks. When the leader admits a
+// statement while a follower is idle, it promotes that follower to leader
+// and runs the statement itself; otherwise the statement waits in the
+// admission queue for the next thread that finishes one. So at most
+// `worker_threads` statements execute at once, a long scan never stalls the
+// loop, and a statement reaches its thread without a hand-off. The thread
+// that ran a statement also encodes the reply, writes it to the socket
+// under the connection's mutex and records the request span; it posts back
+// to the loop only when work remains (a partial write, buffered pipelined
+// input, close-after-flush or a changed interest mask).
+//
+// The server speaks two protocols on one port, distinguished by the first
+// bytes of the connection: anything starting with the TSP1 magic is the
+// binary frame protocol (net/frame.h), anything else is HTTP/1.x
+// (net/http.h). The telemetry endpoints (/metrics, /varz, /healthz,
+// /debug/*) and the query endpoint (POST /query) are both plain HTTP
+// handlers registered on the same server, so the exporter and the daemon
+// share a single network stack.
 //
 // Operational policies, all tunable via ServerOptions:
 //
@@ -56,36 +68,6 @@
 
 namespace tempspec {
 
-/// \brief Fixed-size pool of statement-execution threads: a plain
-/// mutex+condvar task queue, deliberately separate from util/thread_pool.h
-/// (whose ParallelFor shape fits data-parallel scans, not long-lived
-/// request execution — one statement may itself fan out onto that pool).
-class WorkerPool {
- public:
-  explicit WorkerPool(size_t threads);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  /// \brief Enqueues a task; runs on some worker thread. No-op after
-  /// Shutdown.
-  void Submit(std::function<void()> task);
-
-  /// \brief Drains the queue, waits for running tasks, joins the threads.
-  /// Idempotent.
-  void Shutdown();
-
- private:
-  void Work();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool shutdown_ = false;
-  std::vector<std::thread> threads_;
-};
-
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 picks an ephemeral port; read back via port()
@@ -94,6 +76,8 @@ struct ServerOptions {
   size_t max_connections = 256;
   /// Statements executing or queued process-wide; excess is rejected.
   size_t max_inflight = 8;
+  /// Statements executing at once; the pool has one more thread, which
+  /// leads the event loop.
   size_t worker_threads = 2;
   HttpLimits http_limits;
   size_t max_frame_payload_bytes = 1 * 1024 * 1024;
@@ -128,11 +112,13 @@ class NetServer {
     std::string body;
   };
 
-  /// \brief Synchronous endpoint handler, run on the event-loop thread:
-  /// must be fast and non-blocking (telemetry snapshots, health checks).
+  /// \brief Synchronous endpoint handler, run on the current leader: must
+  /// be fast and non-blocking (telemetry snapshots, health checks).
   using HttpHandler = std::function<void(const HttpRequest&, HttpResponse*)>;
 
-  /// \brief Statement executor, run on a worker thread. `trace` carries the
+  /// \brief Statement executor, run on the thread that admitted the
+  /// statement, or on the thread that took it from the admission queue.
+  /// Several run at once, on different connections. `trace` carries the
   /// armed deadline/cancellation and is valid for the duration of the call.
   using StatementHandler =
       std::function<Result<std::string>(const std::string& statement,
@@ -157,12 +143,12 @@ class NetServer {
   /// kError.
   void SetStatementHandler(StatementHandler handler);
 
-  /// \brief Binds, starts the workers and the loop thread. Fails on
-  /// bind/listen errors and double Start.
+  /// \brief Binds and starts the pool. Fails on bind/listen errors and
+  /// double Start.
   Status Start();
 
-  /// \brief Cancels in-flight statements, drains the workers, stops the
-  /// loop, closes every connection. Idempotent.
+  /// \brief Cancels admitted statements, lets the pool answer them, joins
+  /// its threads, closes every connection. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -185,58 +171,97 @@ class NetServer {
     bool set = false;
   };
 
+  /// \brief One admitted statement, queued until a thread runs it.
+  struct Statement {
+    std::shared_ptr<Connection> conn;
+    std::shared_ptr<TraceContext> trace;
+    std::string text;
+    std::chrono::steady_clock::time_point admitted;
+    bool is_http = false;
+    bool http_keep_alive = true;
+  };
+
+  /// \brief Body of every pool thread: runs queued statements while a slot
+  /// is free, leads when no thread does (until a statement can run or the
+  /// pool stops), and otherwise waits as a follower.
+  void ServeThread();
+  /// \brief A statement is queued and a slot is free. Caller holds pool_mu_.
+  bool Runnable() const;
+  /// \brief Executes one statement, writes its reply and records its span.
+  void RunStatement(Statement statement);
+
   void OnAccept();
   void OnConnectionEvent(const std::shared_ptr<Connection>& conn,
                          uint32_t events);
-  /// \brief Parses buffered input and dispatches at most one statement
-  /// (per-connection serialization); re-entered after each completion.
+  /// \brief Parses buffered input and admits at most one statement at a
+  /// time per connection; while one runs, its thread resumes the input.
   void ProcessInput(const std::shared_ptr<Connection>& conn);
-  void ProcessHttp(const std::shared_ptr<Connection>& conn);
-  void ProcessFrames(const std::shared_ptr<Connection>& conn);
+  /// \brief Handle at most one buffered request or frame; false when none
+  /// was complete or the connection is done.
+  bool ProcessHttp(const std::shared_ptr<Connection>& conn);
+  bool ProcessFrame(const std::shared_ptr<Connection>& conn);
   void RouteHttpRequest(const std::shared_ptr<Connection>& conn);
-  /// \brief Admission + worker dispatch for one statement. `deadline_ms` 0
-  /// means "none supplied" (the default applies).
+  /// \brief Admission for one statement, which then waits in the queue for
+  /// a thread. `deadline_ms` 0 means "none supplied" (the default applies).
   void DispatchStatement(const std::shared_ptr<Connection>& conn,
                          std::string statement, uint64_t deadline_ms,
                          const WireTraceInfo& wire, bool is_http,
                          bool http_keep_alive);
-  /// \brief Response write + request-span finalization: ends the
-  /// server-owned span and records it into the span store (the statement
-  /// text rides along for the slow-query view).
-  void CompleteStatement(const std::shared_ptr<Connection>& conn,
-                         const std::shared_ptr<TraceContext>& trace,
-                         const std::string& statement, const Status& status,
-                         const std::string& payload, bool is_http,
-                         bool http_keep_alive);
+  /// \brief Leader-side resumption of a connection whose statement thread
+  /// left work: flushes, parses buffered input, recomputes interest.
+  void ResumeConnection(const std::shared_ptr<Connection>& conn);
+  /// \brief Leader-side sends. A reply with keep_alive false, or a frame
+  /// sent with `then_close`, closes the connection once flushed.
   void SendHttpResponse(const std::shared_ptr<Connection>& conn, int code,
                         std::string_view content_type, std::string_view body,
                         bool keep_alive);
-  void SendFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);
+  void SendFrame(const std::shared_ptr<Connection>& conn, const Frame& frame,
+                 bool then_close = false);
+  /// \brief Writes what the socket takes; caller holds `conn.mu`. False when
+  /// the connection is done: a write failed, or the output is flushed and
+  /// close-after-flush is set.
+  bool FlushLocked(Connection& conn);
+  /// \brief Leader side, `lock` holding `conn->mu`: flushes, then
+  /// recomputes the interest mask, or unlocks and closes a connection that
+  /// is done.
+  void FlushAndUpdate(const std::shared_ptr<Connection>& conn,
+                      std::unique_lock<std::mutex>& lock);
   void FlushWrites(const std::shared_ptr<Connection>& conn);
   /// \brief Recomputes the read/write interest mask from buffer state
-  /// (backpressure lives here).
+  /// (backpressure lives here). Leader only; the Locked form with
+  /// `conn.mu` held.
   void UpdateInterest(const std::shared_ptr<Connection>& conn);
+  void UpdateInterestLocked(Connection& conn);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
   void SweepIdleConnections();
 
   ServerOptions options_;
   EventLoop loop_;
-  std::unique_ptr<WorkerPool> workers_;
   OwnedFd listen_fd_;
-  std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<uint16_t> bound_port_{0};
+
+  // The leader/followers pool; its threads are the last member.
+  std::mutex pool_mu_;
+  std::condition_variable pool_cv_;  // idle followers wait here
+  std::deque<Statement> queue_;      // admitted, waiting for a free slot
+  size_t executing_ = 0;             // statements running, <= slots
+  bool leading_ = false;             // a thread is leading
+  bool stopping_ = false;
 
   std::map<std::string, HttpHandler> http_handlers_;
   HttpHandler http_fallback_;
   StatementHandler statement_handler_;
 
-  // Loop-thread state.
+  // Leader-only state.
   std::map<int, std::shared_ptr<Connection>> connections_;
   uint64_t next_connection_id_ = 1;
-  size_t inflight_ = 0;
 
-  // Monotonic counters; written by the loop thread, read anywhere.
+  // Admitted statements not yet answered: raised by the leader at admission,
+  // lowered by the statement's thread before it writes the reply.
+  std::atomic<uint64_t> inflight_{0};
+
+  // Monotonic counters, read anywhere.
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> refused_{0};
   std::atomic<uint64_t> requests_{0};
@@ -244,7 +269,8 @@ class NetServer {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> open_connections_{0};
-  std::atomic<uint64_t> inflight_published_{0};
+
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace tempspec

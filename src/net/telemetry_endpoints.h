@@ -7,9 +7,9 @@
 //   /debug/events  — the flight-recorder ring as JSONL
 //   /debug/traces  — the span store's sampled spans as JSONL
 //
-// Handlers run on the event-loop thread and only snapshot in-process
-// registries, so they stay responsive even when every worker is busy —
-// telemetry never passes through admission control.
+// Handlers run on the server's current leader and only snapshot in-process
+// registries, so they stay responsive even when every statement slot is
+// busy — telemetry never passes through admission control.
 #ifndef TEMPSPEC_NET_TELEMETRY_ENDPOINTS_H_
 #define TEMPSPEC_NET_TELEMETRY_ENDPOINTS_H_
 

@@ -164,8 +164,8 @@ Status TelemetryExporter::Start() {
   ServerOptions server_options;
   server_options.bind_address = options_.bind_address;
   server_options.port = options_.port;
-  // Telemetry handlers run on the loop thread; the workers only exist for
-  // statement execution, which a bare exporter never sees.
+  // Telemetry handlers run on the leader; the statement slots only exist
+  // for execution, which a bare exporter never sees.
   server_options.worker_threads = 1;
   auto server = std::make_unique<NetServer>(std::move(server_options));
   RegisterTelemetryEndpoints(server.get());

@@ -1,8 +1,11 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <string>
 
 #include "obs/metrics.h"
 #include "query/kernels.h"
@@ -16,15 +19,72 @@ void Count(QueryStats* stats, uint64_t examined, uint64_t probes = 0) {
   stats->index_probes += probes;
 }
 
+/// \brief Registry counters named `prefix` + a token, one per index, each
+/// registered on first use and then cached (obs/metrics.h): a query builds
+/// no names and takes no registry lock, while a counter still first appears
+/// in /metrics when it first counts.
+template <size_t N>
+class CounterTable {
+ public:
+  explicit constexpr CounterTable(const char* prefix) : prefix_(prefix) {}
+
+  MetricCounter& Get(size_t index, const char* token) {
+    MetricCounter* counter = slots_[index].load(std::memory_order_acquire);
+    if (counter == nullptr) {
+      // Racing first uses register the same name and get the same handle.
+      counter = &MetricsRegistry::Instance().GetCounter(std::string(prefix_) +
+                                                        token);
+      slots_[index].store(counter, std::memory_order_release);
+    }
+    return *counter;
+  }
+
+ private:
+  const char* prefix_;
+  std::array<std::atomic<MetricCounter*>, N> slots_{};
+};
+
+constexpr size_t kScanKernelCount =
+    static_cast<size_t>(ScanKernel::kExistence) + 1;
+constinit CounterTable<kScanKernelCount> kernel_counters("executor.kernel.");
+
 /// \brief Records the scan kernel a query actually ran (which can differ
 /// from the planned one when a columnar precondition fails): trace attribute
 /// for EXPLAIN ANALYZE, per-kernel registry counter for /metrics.
 void RecordKernel(TraceContext* trace, ScanKernel kernel) {
   const char* token = ScanKernelToToken(kernel);
   if (trace != nullptr) trace->SetAttr("kernel", token);
-  MetricsRegistry::Instance()
-      .GetCounter(std::string("executor.kernel.") + token)
-      .Increment();
+  kernel_counters.Get(static_cast<size_t>(kernel), token).Increment();
+}
+
+/// \brief The executor's query spans: each names a trace span and counts
+/// into `executor.<span>`.
+enum class QuerySpan : uint8_t {
+  kCurrent,
+  kRollback,
+  kTimeslice,
+  kValidRange,
+  kTimesliceAsOf,
+};
+constexpr const char* kQuerySpanNames[] = {
+    "query.current", "query.rollback", "query.timeslice", "query.valid_range",
+    "query.timeslice_as_of"};
+constexpr size_t kQuerySpanCount = std::size(kQuerySpanNames);
+constinit CounterTable<kQuerySpanCount> span_counters("executor.");
+
+/// \brief Strategy slots for the trace attribute and
+/// `executor.strategy.<token>`: the optimizer's strategies, then the
+/// snapshot replay that answers rollbacks on a relation with a snapshot
+/// cache.
+constexpr size_t kSnapshotReplay =
+    static_cast<size_t>(ExecutionStrategy::kMonotoneBinarySearch) + 1;
+constexpr size_t kStrategySlots = kSnapshotReplay + 1;
+constinit CounterTable<kStrategySlots> strategy_counters("executor.strategy.");
+
+const char* StrategyToken(size_t slot) {
+  return slot == kSnapshotReplay
+             ? "snapshot_replay"
+             : ExecutionStrategyToToken(static_cast<ExecutionStrategy>(slot));
 }
 
 uint64_t MicrosBetween(std::chrono::steady_clock::time_point a,
@@ -58,12 +118,14 @@ class StatsTimer {
 class QueryScope {
  public:
   QueryScope(const TemporalRelation& relation, TraceContext* trace,
-             const char* span_name, QueryStats* caller_stats)
+             QuerySpan span, QueryStats* caller_stats)
       : trace_(trace),
-        span_name_(span_name),
+        span_(span),
         stats_(caller_stats != nullptr ? caller_stats : &local_),
         baseline_(*stats_) {
-    if (trace_ != nullptr) trace_->Begin(span_name);
+    if (trace_ != nullptr) {
+      trace_->Begin(kQuerySpanNames[static_cast<size_t>(span)]);
+    }
     if (const BufferPool* pool = relation.backlog().buffer_pool()) {
       pool_ = pool;
       pages_before_ = pool->hits() + pool->misses();
@@ -79,10 +141,13 @@ class QueryScope {
 
   /// \brief Records the optimizer's choice for the span and the registry.
   void SetPlan(const PlanChoice& plan) {
-    strategy_token_ = ExecutionStrategyToToken(plan.strategy);
+    SetStrategy(plan.strategy);
     if (trace_ != nullptr) trace_->SetAttr("plan", plan.rationale);
   }
-  void SetStrategyToken(const char* token) { strategy_token_ = token; }
+  void SetStrategy(ExecutionStrategy strategy) {
+    strategy_slot_ = static_cast<size_t>(strategy);
+  }
+  void SetSnapshotReplay() { strategy_slot_ = kSnapshotReplay; }
 
   ~QueryScope() {
     QueryStats d = *stats_;
@@ -99,8 +164,8 @@ class QueryScope {
         pool_ == nullptr ? 0 : pool_->hits() + pool_->misses() - pages_before_;
 
     if (trace_ != nullptr) {
-      if (strategy_token_ != nullptr) {
-        trace_->SetAttr("strategy", strategy_token_);
+      if (strategy_slot_ < kStrategySlots) {
+        trace_->SetAttr("strategy", StrategyToken(strategy_slot_));
       }
       trace_->AddCounter("elements_examined", d.elements_examined);
       trace_->AddCounter("index_probes", d.index_probes);
@@ -117,10 +182,10 @@ class QueryScope {
       trace_->End();
     }
 
-    MetricsRegistry& reg = MetricsRegistry::Instance();
-    reg.GetCounter(std::string("executor.") + span_name_).Increment();
-    if (strategy_token_ != nullptr) {
-      reg.GetCounter(std::string("executor.strategy.") + strategy_token_)
+    const size_t span = static_cast<size_t>(span_);
+    span_counters.Get(span, kQuerySpanNames[span]).Increment();
+    if (strategy_slot_ < kStrategySlots) {
+      strategy_counters.Get(strategy_slot_, StrategyToken(strategy_slot_))
           .Increment();
     }
     TS_COUNTER_INC("executor.queries");
@@ -136,8 +201,8 @@ class QueryScope {
 
  private:
   TraceContext* trace_;
-  const char* span_name_;
-  const char* strategy_token_ = nullptr;
+  QuerySpan span_;
+  size_t strategy_slot_ = kStrategySlots;  // none recorded
   QueryStats local_;
   QueryStats* stats_;
   QueryStats baseline_;
@@ -473,24 +538,23 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
 // -- Zero-copy interface ------------------------------------------------------
 
 ResultSet QueryExecutor::CurrentSet(QueryStats* stats) const {
-  return ExistenceScan("query.current", kCurrentAsOf, stats);
+  QueryScope scope(relation_, options_.trace, QuerySpan::kCurrent, stats);
+  scope.SetStrategy(ExecutionStrategy::kFullScan);
+  return ExistenceScan(kCurrentAsOf, scope.stats());
 }
 
 ResultSet QueryExecutor::RollbackSet(TimePoint tt, QueryStats* stats) const {
-  return ExistenceScan("query.rollback", tt.micros(), stats);
+  QueryScope scope(relation_, options_.trace, QuerySpan::kRollback, stats);
+  scope.SetStrategy(ExecutionStrategy::kFullScan);
+  return ExistenceScan(tt.micros(), scope.stats());
 }
 
-ResultSet QueryExecutor::ExistenceScan(const char* span_name,
-                                       int64_t as_of_micros,
+ResultSet QueryExecutor::ExistenceScan(int64_t as_of_micros,
                                        QueryStats* stats) const {
   // Current and rollback queries share one shape: a full scan whose
   // predicate reads only the existence columns (no valid-time test at all) —
   // the existence_columnar kernel, with kCurrentAsOf selecting open
   // intervals. The Element walk remains as the guard fallback.
-  QueryScope scope(relation_, options_.trace, span_name, stats);
-  scope.SetStrategyToken(
-      ExecutionStrategyToToken(ExecutionStrategy::kFullScan));
-  stats = scope.stats();
   StatsTimer timer(stats);
   TraceContext::StageScope scan_stage(options_.trace, "scan");
   const std::span<const Element> elements = relation_.elements();
@@ -525,7 +589,7 @@ ResultSet QueryExecutor::TimesliceSet(TimePoint vt, QueryStats* stats) const {
 
 ResultSet QueryExecutor::TimesliceSetWith(const PlanChoice& plan, TimePoint vt,
                                           QueryStats* stats) const {
-  QueryScope scope(relation_, options_.trace, "query.timeslice", stats);
+  QueryScope scope(relation_, options_.trace, QuerySpan::kTimeslice, stats);
   scope.SetPlan(plan);
   stats = scope.stats();
   StatsTimer timer(stats);
@@ -546,7 +610,8 @@ ResultSet QueryExecutor::ValidRangeSet(TimePoint lo, TimePoint hi,
 ResultSet QueryExecutor::ValidRangeSetWith(const PlanChoice& plan, TimePoint lo,
                                            TimePoint hi,
                                            QueryStats* stats) const {
-  QueryScope scope(relation_, options_.trace, "query.valid_range", stats);
+  QueryScope scope(relation_, options_.trace, QuerySpan::kValidRange,
+                   stats);
   scope.SetPlan(plan);
   stats = scope.stats();
   StatsTimer timer(stats);
@@ -563,7 +628,8 @@ ResultSet QueryExecutor::TimesliceAsOfSet(TimePoint vt, TimePoint tt,
     TraceContext::StageScope plan_stage(options_.trace, "plan");
     plan = optimizer_.PlanTimeslice(vt);
   }
-  QueryScope scope(relation_, options_.trace, "query.timeslice_as_of", stats);
+  QueryScope scope(relation_, options_.trace, QuerySpan::kTimesliceAsOf,
+                   stats);
   scope.SetPlan(plan);
   stats = scope.stats();
   StatsTimer timer(stats);
@@ -583,8 +649,8 @@ std::vector<Element> QueryExecutor::Rollback(TimePoint tt,
     // The snapshot/differential cache replays the backlog in O(suffix); it
     // also reproduces the historical representation (deletion stamps still
     // open at tt), which a position view over the final store cannot.
-    QueryScope scope(relation_, options_.trace, "query.rollback", stats);
-    scope.SetStrategyToken("snapshot_replay");
+    QueryScope scope(relation_, options_.trace, QuerySpan::kRollback, stats);
+    scope.SetSnapshotReplay();
     stats = scope.stats();
     StatsTimer timer(stats);
     TraceContext::StageScope scan_stage(options_.trace, "snapshot_replay");

@@ -131,9 +131,9 @@ class QueryExecutor {
 
   /// \brief Shared core of CurrentSet/RollbackSet: full scan with an
   /// existence-only predicate (the existence_columnar kernel;
-  /// kCurrentAsOf selects current belief).
-  ResultSet ExistenceScan(const char* span_name, int64_t as_of_micros,
-                          QueryStats* stats) const;
+  /// kCurrentAsOf selects current belief). `stats` is the caller's query
+  /// scope's, never null.
+  ResultSet ExistenceScan(int64_t as_of_micros, QueryStats* stats) const;
 
   /// \brief Collects matching positions from `count` candidates, where
   /// candidate `i` is element position `pos_at(i)` and matches when

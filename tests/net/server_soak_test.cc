@@ -6,7 +6,8 @@
 // run of the same logical workload — the single-writer contract and the
 // per-connection serialization must hold under contention. Runs under TSan
 // in CI (ctest -L server on the -DTEMPSPEC_SANITIZE=thread tree) to
-// race-check the loop-thread/worker handoffs.
+// race-check the leader/followers pool's leadership transfers and the
+// replies written by the thread that ran the statement.
 #include <gtest/gtest.h>
 
 #include <atomic>

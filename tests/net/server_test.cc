@@ -1,21 +1,25 @@
 // Protocol and policy battery for NetServer (net/server.h), driven over real
 // sockets against scripted statement handlers: HTTP and TSP1 frame
-// round-trips, keep-alive and pipelining, admission control (503/kRejected),
+// round-trips, keep-alive and pipelining on both protocols, admission
+// control (503/kRejected), the leader/followers pool's queueing and liveness,
 // deadline propagation and enforcement (504), client-disconnect
 // cancellation, and clean rejection of malformed input on both protocols.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/net_test_client.h"
 #include "testing.h"
@@ -27,24 +31,6 @@ using namespace std::chrono_literals;
 using testing::QueryFrame;
 using testing::TestClient;
 using testing::WaitFor;
-
-// A server stopped right after Start() calls EventLoop::Stop() before its
-// loop thread may have entered Run(); that stop request must not be lost,
-// or Stop() waits forever on the loop thread.
-TEST(EventLoopTest, StopBeforeRunIsNotLost) {
-  EventLoop loop;
-  ASSERT_OK(loop.Init());
-  loop.Stop();
-  std::atomic<bool> returned{false};
-  std::thread runner([&] {
-    loop.Run();
-    returned.store(true);
-  });
-  const bool ended = WaitFor([&] { return returned.load(); });
-  if (!ended) loop.Stop();  // unblock the runner so the test can finish
-  runner.join();
-  EXPECT_TRUE(ended) << "Run() ignored a Stop() issued before it started";
-}
 
 class NetServerTest : public ::testing::Test {
  protected:
@@ -63,6 +49,17 @@ class NetServerTest : public ::testing::Test {
 
   std::unique_ptr<NetServer> server_;
 };
+
+TEST_F(NetServerTest, StopRightAfterStartReturns) {
+  // Stop() hands its request to whichever pool thread leads; one issued
+  // before any thread has led must still be taken up, or Stop() waits
+  // forever on the join.
+  for (int i = 0; i < 50; ++i) {
+    StartServer({}, nullptr);
+    server_->Stop();
+    EXPECT_FALSE(server_->running());
+  }
+}
 
 TEST_F(NetServerTest, HttpQueryRoundTrip) {
   StartServer({}, [](const std::string& statement, TraceContext*) {
@@ -113,6 +110,41 @@ TEST_F(NetServerTest, PipelinedHttpRequestsAnswerInOrder) {
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(first.body, "r:a");
   EXPECT_EQ(second.body, "r:b");
+}
+
+TEST_F(NetServerTest, PipelinedFramesAnswerInOrderOneStatementAtATime) {
+  // Sixteen queries and a ping in one write: every statement after the
+  // first waits in the connection's input until the previous one's thread
+  // hands the input back to the loop, and the ping waits behind them all.
+  std::atomic<int> running{0};
+  std::atomic<bool> overlapped{false};
+  StartServer({}, [&](const std::string& statement, TraceContext*) {
+    if (running.fetch_add(1) != 0) overlapped.store(true);
+    std::this_thread::sleep_for(1ms);  // widen any overlap
+    running.fetch_sub(1);
+    return Result<std::string>("r:" + statement);
+  });
+  TestClient client(server_->port());
+  std::string wire;
+  for (int i = 0; i < 16; ++i) {
+    EncodeFrame(QueryFrame(std::to_string(i)), &wire);
+  }
+  Frame ping;
+  ping.type = FrameType::kPing;
+  ping.payload = "after";
+  EncodeFrame(ping, &wire);
+  ASSERT_TRUE(client.Send(wire));
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_OK_AND_ASSIGN(Frame reply, client.ReadFrame());
+    EXPECT_EQ(reply.type, FrameType::kResult) << "frame " << i;
+    EXPECT_EQ(reply.payload, "r:" + std::to_string(i));
+  }
+  ASSERT_OK_AND_ASSIGN(Frame pong, client.ReadFrame());
+  EXPECT_EQ(pong.type, FrameType::kPong);
+  EXPECT_EQ(pong.payload, "after");
+  EXPECT_FALSE(overlapped.load())
+      << "two statements of one connection ran at once";
+  EXPECT_EQ(server_->Stats().requests, 16u);
 }
 
 TEST_F(NetServerTest, StatementErrorsMapToHttpCodes) {
@@ -370,8 +402,8 @@ TEST_F(NetServerTest, DisconnectingClientCancelsItsStatement) {
 
 TEST_F(NetServerTest, TelemetryNeverPassesAdmission) {
   // With the lone permit held by a parked statement, /healthz via a
-  // registered handler must still answer: loop-thread endpoints bypass
-  // admission by design.
+  // registered handler must still answer: endpoints the leader serves
+  // bypass admission by design.
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
@@ -412,6 +444,100 @@ TEST_F(NetServerTest, TelemetryNeverPassesAdmission) {
   }
   cv.notify_all();
   EXPECT_EQ(blocker.ReadHttpResponse().code, 200);
+}
+
+TEST_F(NetServerTest, LeaderFollowersQueueBeyondWorkersAndKeepTheLoop) {
+  // Two workers, both parked: a third statement must queue rather than be
+  // refused or run, the loop must still answer /healthz, a parked client
+  // that disconnects must cancel its statement, and the freed slot must
+  // run the queued one. A pool whose thread runs the statement it read
+  // without leaving a leader behind never reads the second statement.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::set<std::string> running;
+  size_t most_running = 0;
+  std::vector<std::string> cancelled;
+
+  ServerOptions options;
+  options.bind_address = "127.0.0.1";
+  options.port = 0;
+  options.worker_threads = 2;
+  options.max_inflight = 8;
+  server_ = std::make_unique<NetServer>(std::move(options));
+  server_->AddHttpHandler("/healthz",
+                          [](const HttpRequest&, NetServer::HttpResponse* out) {
+                            out->body = "ok\n";
+                          });
+  server_->SetStatementHandler(
+      [&](const std::string& statement, TraceContext* trace) {
+        std::unique_lock<std::mutex> lock(mu);
+        running.insert(statement);
+        most_running = std::max(most_running, running.size());
+        while (!release && !trace->CancellationRequested()) {
+          cv.wait_for(lock, 1ms);
+        }
+        running.erase(statement);
+        if (!release) {
+          cancelled.push_back(statement);
+          return Result<std::string>(Status::DeadlineExceeded("cancelled"));
+        }
+        return Result<std::string>("done " + statement);
+      });
+  ASSERT_OK(server_->Start());
+  // However the test ends, unpark what still runs, so Stop() can drain.
+  struct Unpark {
+    std::function<void()> release_all;
+    ~Unpark() { release_all(); }
+  } unpark{[&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  }};
+  const auto running_set = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return running;
+  };
+
+  TestClient first(server_->port());
+  ASSERT_TRUE(first.SendFrame(QueryFrame("one")));
+  TestClient second(server_->port());
+  ASSERT_TRUE(second.SendFrame(QueryFrame("two")));
+  ASSERT_TRUE(WaitFor([&] { return running_set().size() == 2; }))
+      << "the second statement never ran beside the first";
+
+  TestClient third(server_->port());
+  ASSERT_TRUE(third.SendFrame(QueryFrame("three")));
+  ASSERT_TRUE(WaitFor([&] { return server_->Stats().requests == 3; }));
+  std::this_thread::sleep_for(20ms);  // room to run, were a slot free
+  EXPECT_EQ(running_set(), (std::set<std::string>{"one", "two"}));
+  EXPECT_EQ(server_->Stats().requests_rejected, 0u);
+
+  TestClient health(server_->port());
+  ASSERT_TRUE(health.Send("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"));
+  TestClient::HttpReply reply = health.ReadHttpResponse();
+  ASSERT_TRUE(reply.ok) << "no thread led the loop while both slots parked";
+  EXPECT_EQ(reply.code, 200);
+
+  second.Close();  // cancels "two"; its slot then runs the queued "three"
+  ASSERT_TRUE(WaitFor([&] {
+    return running_set() == std::set<std::string>{"one", "three"};
+  }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(cancelled, std::vector<std::string>{"two"});
+  }
+  unpark.release_all();
+  ASSERT_OK_AND_ASSIGN(Frame done_first, first.ReadFrame());
+  EXPECT_EQ(done_first.payload, "done one");
+  ASSERT_OK_AND_ASSIGN(Frame done_third, third.ReadFrame());
+  EXPECT_EQ(done_third.type, FrameType::kResult);
+  EXPECT_EQ(done_third.payload, "done three");
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(most_running, 2u);
+  EXPECT_EQ(server_->Stats().requests_rejected, 0u);
 }
 
 TEST_F(NetServerTest, MaxConnectionsRefusesFurtherAccepts) {

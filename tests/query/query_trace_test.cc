@@ -142,6 +142,25 @@ TEST_F(QueryTraceTest, RegistryCountsQueries) {
   EXPECT_EQ(after, before + 2);
 }
 
+// The span, strategy and kernel counters are named at run time from the
+// query; each TIMESLICE must count exactly once into each of the three.
+TEST_F(QueryTraceTest, TimesliceCountsOnceIntoItsSpanStrategyAndKernel) {
+  TraceContext trace;
+  QueryExecutor exec(*scenario_.relation,
+                     ExecutorOptions{.pool = nullptr, .trace = &trace});
+  const MetricsSnapshot before = MetricsRegistry::Instance().Scrape();
+  exec.TimesliceSet(scenario_->elements()[5].valid.at());
+  const MetricsSnapshot after = MetricsRegistry::Instance().Scrape();
+  ASSERT_FALSE(trace.attr("strategy").empty());
+  ASSERT_FALSE(trace.attr("kernel").empty());
+  for (const std::string& name :
+       {std::string("executor.query.timeslice"),
+        "executor.strategy." + trace.attr("strategy"),
+        "executor.kernel." + trace.attr("kernel")}) {
+    EXPECT_EQ(after.counter(name), before.counter(name) + 1) << name;
+  }
+}
+
 class ExplainAnalyzeTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -20,7 +20,7 @@
 //                                                empty = in-memory)
 //   --portfile=P            write the bound port here (TEMPSPEC_SERVE_PORTFILE)
 //   --max-inflight=N        admission-control cap     (TEMPSPEC_SERVE_MAX_INFLIGHT)
-//   --workers=N             statement worker threads  (TEMPSPEC_SERVE_WORKERS)
+//   --workers=N             statements run at once    (TEMPSPEC_SERVE_WORKERS)
 //   --default-deadline-ms=N applied when a request has none, 0 = unlimited
 //   --max-deadline-ms=N     clamp for client deadlines, 0 = no clamp
 //   --history-ms=N          metrics time-series sampling period; 0 disables
