@@ -6,6 +6,7 @@
 #include <chrono>
 #include <iterator>
 #include <string>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "query/kernels.h"
@@ -48,9 +49,11 @@ constexpr size_t kScanKernelCount =
     static_cast<size_t>(ScanKernel::kExistence) + 1;
 constinit CounterTable<kScanKernelCount> kernel_counters("executor.kernel.");
 
-/// \brief Records the scan kernel a query actually ran (which can differ
-/// from the planned one when a columnar precondition fails): trace attribute
-/// for EXPLAIN ANALYZE, per-kernel registry counter for /metrics.
+/// \brief Records the scan kernel a query ran (the planned one, except that
+/// index probes always walk Elements, a full scan runs kMonotone as
+/// kGeneric, and a monotone search runs any columnar kernel as kMonotone):
+/// trace attribute for EXPLAIN ANALYZE, per-kernel registry counter for
+/// /metrics.
 void RecordKernel(TraceContext* trace, ScanKernel kernel) {
   const char* token = ScanKernelToToken(kernel);
   if (trace != nullptr) trace->SetAttr("kernel", token);
@@ -85,6 +88,40 @@ const char* StrategyToken(size_t slot) {
   return slot == kSnapshotReplay
              ? "snapshot_replay"
              : ExecutionStrategyToToken(static_cast<ExecutionStrategy>(slot));
+}
+
+/// \brief Scan body over the contiguous candidates [first + begin,
+/// first + end): a columnar kernel (query/kernels.h) on the stamp columns.
+auto KernelBody(ScanKernel kernel, const StampColumns& cols, size_t first,
+                int64_t lo, int64_t hi, int64_t as_of) {
+  return [=](size_t begin, size_t end, std::vector<uint64_t>* out) {
+    KernelScan(kernel, cols, first + begin, first + end, lo, hi, as_of, out);
+  };
+}
+
+/// \brief Scan body over candidates [begin, end), candidate `i` being
+/// element position `pos_at(i)`: the row-at-a-time Element walk, for index
+/// probes and for hand-built kRowAtATime plans (the naive reference the
+/// kernels are tested and benchmarked against). The element span, the
+/// bounds and the as-of value are captured by value, so the inner loop
+/// keeps them in registers.
+template <typename PosAt>
+auto ElementWalk(std::span<const Element> elements, PosAt pos_at, TimePoint lo,
+                 TimePoint hi, std::optional<TimePoint> as_of) {
+  return [=](size_t begin, size_t end, std::vector<uint64_t>* out) {
+    for (size_t i = begin; i < end; ++i) {
+      const uint64_t pos = pos_at(i);
+      const Element& e = elements[pos];
+      // Belief filter: current queries require an open existence interval;
+      // as-of queries require existence at the given transaction time.
+      if (as_of.has_value() ? !e.ExistsAt(*as_of) : !e.IsCurrent()) continue;
+      const bool in_range =
+          e.valid.is_event()
+              ? lo <= e.valid.at() && e.valid.at() < hi
+              : e.valid.begin() < hi && lo < e.valid.end();
+      if (in_range) out->push_back(pos);
+    }
+  };
 }
 
 uint64_t MicrosBetween(std::chrono::steady_clock::time_point a,
@@ -212,12 +249,10 @@ class QueryScope {
 
 }  // namespace
 
-template <typename PosAt, typename Pred>
-std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
-                                                    const PosAt& pos_at,
-                                                    const Pred& pred,
+template <typename Scan>
+std::vector<uint64_t> QueryExecutor::CollectMorsels(size_t count,
+                                                    const Scan& scan,
                                                     QueryStats* stats) const {
-  const std::span<const Element> elements = relation_.elements();
   ThreadPool* pool = options_.pool;
   const size_t grain = options_.morsel_size == 0 ? 1 : options_.morsel_size;
   const bool parallel =
@@ -229,22 +264,16 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
     const auto scan_start = std::chrono::steady_clock::now();
     size_t scanned = count;
     if (trace == nullptr) {
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t pos = pos_at(i);
-        if (pred(elements[pos])) out.push_back(pos);
-      }
+      scan(0, count, &out);
     } else {
       // With a trace attached, cancellation is polled once per grain-sized
       // chunk — the serial mirror of the per-morsel checks below, so a
-      // deadline stops a long serial scan within one morsel too.
+      // deadline stops a long serial scan within one morsel too. Chunks
+      // append in order, so the output equals one whole-range call.
       size_t base = 0;
       for (; base < count; base += grain) {
         if (trace->CancellationRequested()) break;
-        const size_t stop = std::min(count, base + grain);
-        for (size_t i = base; i < stop; ++i) {
-          const uint64_t pos = pos_at(i);
-          if (pred(elements[pos])) out.push_back(pos);
-        }
+        scan(base, std::min(count, base + grain), &out);
       }
       scanned = std::min(base, count);
       if (base < count) {
@@ -262,10 +291,11 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
   }
 
   // Morsel-parallel: workers claim contiguous candidate chunks and fill
-  // per-morsel buffers; concatenating the buffers in morsel order makes the
-  // output identical to the serial loop above. Per-morsel scan durations
-  // accumulate into cpu_micros — the summed cross-worker time whose gap to
-  // wall_micros is the parallel speedup.
+  // per-morsel buffers (for a kernel, the drained selection bitmap);
+  // concatenating the buffers in morsel order makes the output identical to
+  // the serial scan above. Per-morsel scan durations accumulate into
+  // cpu_micros — the summed cross-worker time whose gap to wall_micros is
+  // the parallel speedup.
   const size_t morsels = (count + grain - 1) / grain;
   std::vector<std::vector<uint64_t>> parts(morsels);
   std::atomic<uint64_t> cpu_micros{0};
@@ -281,93 +311,7 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
                       }
                       const auto morsel_start =
                           std::chrono::steady_clock::now();
-                      std::vector<uint64_t>& part = parts[morsel];
-                      for (size_t i = begin; i < end; ++i) {
-                        const uint64_t pos = pos_at(i);
-                        if (pred(elements[pos])) part.push_back(pos);
-                      }
-                      cpu_micros.fetch_add(
-                          MicrosBetween(morsel_start,
-                                        std::chrono::steady_clock::now()),
-                          std::memory_order_relaxed);
-                    });
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  out.reserve(total);
-  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
-  stats->morsels_executed += morsels;
-  stats->cpu_micros += cpu_micros.load(std::memory_order_relaxed);
-  stats->rows_scanned += count - skipped_rows.load(std::memory_order_relaxed);
-  stats->rows_matched += total;
-  stats->scan_aborts += aborts.load(std::memory_order_relaxed);
-  return out;
-}
-
-std::vector<uint64_t> QueryExecutor::CollectColumnar(
-    ScanKernel kernel, size_t first, size_t last, int64_t lo_micros,
-    int64_t hi_micros, int64_t as_of_micros, QueryStats* stats) const {
-  const StampColumns cols = relation_.stamps().columns();
-  const size_t count = last - first;
-  ThreadPool* pool = options_.pool;
-  const size_t grain = options_.morsel_size == 0 ? 1 : options_.morsel_size;
-  const bool parallel =
-      pool != nullptr && pool->size() > 1 && count > grain &&
-      optimizer_.ShouldParallelize(count, options_.parallel_cutoff);
-  TraceContext* const trace = options_.trace;
-  std::vector<uint64_t> out;
-  if (!parallel) {
-    const auto scan_start = std::chrono::steady_clock::now();
-    size_t scanned = count;
-    if (trace == nullptr) {
-      KernelScan(kernel, cols, first, last, lo_micros, hi_micros, as_of_micros,
-                 &out);
-    } else {
-      // Chunked kernel invocations concatenate exactly like the per-morsel
-      // calls below, buying a cancellation poll per grain rows.
-      size_t base = 0;
-      for (; base < count; base += grain) {
-        if (trace->CancellationRequested()) break;
-        const size_t stop = std::min(count, base + grain);
-        KernelScan(kernel, cols, first + base, first + stop, lo_micros,
-                   hi_micros, as_of_micros, &out);
-      }
-      scanned = std::min(base, count);
-      if (base < count) {
-        stats->scan_aborts += (count - base + grain - 1) / grain;
-      }
-    }
-    if (count > 0) {
-      stats->morsels_executed += 1;
-      stats->cpu_micros +=
-          MicrosBetween(scan_start, std::chrono::steady_clock::now());
-      stats->rows_scanned += scanned;
-      stats->rows_matched += out.size();
-    }
-    return out;
-  }
-
-  // Same morsel decomposition as CollectMatches: each morsel runs the kernel
-  // over its contiguous block into a private buffer (the drained selection
-  // bitmap), and buffers concatenate in morsel order — byte-identical to the
-  // serial kernel at any thread count.
-  const size_t morsels = (count + grain - 1) / grain;
-  std::vector<std::vector<uint64_t>> parts(morsels);
-  std::atomic<uint64_t> cpu_micros{0};
-  std::atomic<uint64_t> skipped_rows{0};
-  std::atomic<uint64_t> aborts{0};
-  pool->ParallelFor(count, grain,
-                    [&](size_t morsel, size_t begin, size_t end) {
-                      if (trace != nullptr && trace->CancellationRequested()) {
-                        aborts.fetch_add(1, std::memory_order_relaxed);
-                        skipped_rows.fetch_add(end - begin,
-                                               std::memory_order_relaxed);
-                        return;
-                      }
-                      const auto morsel_start =
-                          std::chrono::steady_clock::now();
-                      KernelScan(kernel, cols, first + begin, first + end,
-                                 lo_micros, hi_micros, as_of_micros,
-                                 &parts[morsel]);
+                      scan(begin, end, &parts[morsel]);
                       cpu_micros.fetch_add(
                           MicrosBetween(morsel_start,
                                         std::chrono::steady_clock::now()),
@@ -391,146 +335,81 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
                                      QueryStats* stats) const {
   TraceContext::StageScope scan_stage(options_.trace, "scan");
   const std::span<const Element> elements = relation_.elements();
-  // Belief filter: current queries require an open existence interval;
-  // as-of queries require existence at the given transaction time.
-  const auto matches = [lo, hi, as_of](const Element& e) {
-    if (as_of.has_value() ? !e.ExistsAt(*as_of) : !e.IsCurrent()) return false;
-    if (e.valid.is_event()) {
-      const TimePoint vt = e.valid.at();
-      return lo <= vt && vt < hi;
-    }
-    return e.valid.begin() < hi && lo < e.valid.end();
-  };
+  const StampColumns cols = relation_.stamps().columns();
 
-  // Columnar dispatch: a plan that names a kernel runs it over the
-  // StampStore, provided the candidate range is contiguous in position
-  // space. The columns are position-aligned with elements() by construction;
-  // the cheap size check guards that invariant rather than trusting it.
-  const int64_t klo = lo.micros();
-  const int64_t khi = hi.micros();
-  const int64_t kasof = as_of.has_value() ? as_of->micros() : kCurrentAsOf;
-  const bool columnar_ready =
-      plan.kernel != ScanKernel::kRowAtATime &&
-      relation_.stamps().size() == elements.size();
-  ScanKernel kernel_used = ScanKernel::kRowAtATime;
-
-  std::vector<uint64_t> positions;
+  // Each strategy narrows the candidates: the index probe to a position
+  // list, every other strategy to a contiguous range [first, last) of the
+  // stamp columns.
+  std::vector<uint64_t> probed;
+  size_t first = 0;
+  size_t last = cols.size;
+  ScanKernel kernel = plan.kernel;
   switch (plan.strategy) {
-    case ExecutionStrategy::kFullScan: {
-      Count(stats, elements.size());
-      if (columnar_ready) {
-        // kMonotone assumes its valid-range tests were pre-applied by
-        // MonotoneBounds; on an unbounded scan only the generic predicate
-        // is complete.
-        kernel_used = plan.kernel == ScanKernel::kMonotone
-                          ? ScanKernel::kGeneric
-                          : plan.kernel;
-        positions = CollectColumnar(kernel_used, 0, elements.size(), klo, khi,
-                                    kasof, stats);
-      } else {
-        positions = CollectMatches(
-            elements.size(), [](size_t i) { return static_cast<uint64_t>(i); },
-            matches, stats);
-      }
+    case ExecutionStrategy::kFullScan:
+      Count(stats, last);
+      // kMonotone assumes its valid-range tests were pre-applied by
+      // MonotoneBounds; on an unbounded scan only the generic predicate is
+      // complete.
+      if (kernel == ScanKernel::kMonotone) kernel = ScanKernel::kGeneric;
       break;
-    }
 
-    case ExecutionStrategy::kValidIndex: {
+    case ExecutionStrategy::kValidIndex:
       // Overlapping() returns positions already ascending (contract of
       // IntervalIndex), so the probe result needs no per-query sort. Probe
-      // results are non-contiguous, so this path stays row-at-a-time.
-      std::vector<uint64_t> candidates =
-          relation_.valid_index().Overlapping(lo, hi);
-      Count(stats, candidates.size(), 1);
-      positions = CollectMatches(
-          candidates.size(), [&](size_t i) { return candidates[i]; }, matches,
-          stats);
+      // results are not contiguous, so this path walks Elements.
+      probed = relation_.valid_index().Overlapping(lo, hi);
+      Count(stats, probed.size(), 1);
+      kernel = ScanKernel::kRowAtATime;
       break;
-    }
 
     case ExecutionStrategy::kRollbackEquivalence:
     case ExecutionStrategy::kTransactionWindow: {
       // The declared specialization guarantees every match was stored inside
-      // the transaction-time window; scan only those positions via the
-      // append-only transaction index (its values are insertion-ordered, so
-      // candidate order is position order).
-      const AppendOnlyIndex& idx = relation_.transaction_index();
-      const size_t begin = idx.LowerBound(plan.tt_window.begin());
-      const size_t end = plan.tt_window.end().IsMax()
-                             ? idx.size()
-                             : idx.LowerBound(plan.tt_window.end());
-      const size_t count = end > begin ? end - begin : 0;
-      Count(stats, count, 1);
-      // The engine appends position j as the j-th index value, so the
-      // candidate window is the identity range [begin, end) — which is what
-      // makes the columnar kernel applicable. The endpoint check guards that
-      // invariant in O(1); any mismatch falls back to the positional walk.
-      const bool identity_range =
-          count > 0 && idx.ValueAt(begin) == begin &&
-          idx.ValueAt(end - 1) == end - 1;
-      if (columnar_ready && identity_range) {
-        kernel_used = plan.kernel;
-        positions =
-            CollectColumnar(plan.kernel, begin, end, klo, khi, kasof, stats);
-      } else {
-        positions = CollectMatches(
-            count, [&](size_t i) { return idx.ValueAt(begin + i); }, matches,
-            stats);
+      // the transaction-time window. The sorted tt_start column is the
+      // transaction-time index: two binary searches give the window's
+      // positions.
+      const int64_t* const tt = cols.tt_start;
+      first = static_cast<size_t>(
+          std::lower_bound(tt, tt + cols.size,
+                           plan.tt_window.begin().micros()) -
+          tt);
+      if (!plan.tt_window.end().IsMax()) {
+        last = static_cast<size_t>(
+            std::lower_bound(tt + first, tt + cols.size,
+                             plan.tt_window.end().micros()) -
+            tt);
       }
+      Count(stats, last - first, 1);
       break;
     }
 
-    case ExecutionStrategy::kMonotoneBinarySearch: {
-      // Valid times are non-decreasing in insertion order: binary search for
-      // the matching sub-range, then scan only existence. The search runs on
-      // the flat vt_start column when the columnar path is up (identical
-      // bounds: for events the column stores valid.at()).
-      size_t lo_pos = 0;
-      size_t hi_pos = 0;
-      if (columnar_ready) {
-        const auto bounds = MonotoneBounds(relation_.stamps().columns(), klo, khi);
-        lo_pos = bounds.first;
-        hi_pos = bounds.second;
-      } else {
-        auto vt_of = [&](size_t i) { return elements[i].valid.at(); };
-        size_t a = 0, b = elements.size();
-        while (a < b) {
-          const size_t mid = a + (b - a) / 2;
-          if (vt_of(mid) < lo) {
-            a = mid + 1;
-          } else {
-            b = mid;
-          }
-        }
-        lo_pos = a;
-        a = lo_pos;
-        b = elements.size();
-        while (a < b) {
-          const size_t mid = a + (b - a) / 2;
-          if (vt_of(mid) < hi) {
-            a = mid + 1;
-          } else {
-            b = mid;
-          }
-        }
-        hi_pos = a;
-      }
-      Count(stats, hi_pos - lo_pos, 1);
-      if (columnar_ready) {
-        kernel_used = ScanKernel::kMonotone;
-        positions = CollectColumnar(ScanKernel::kMonotone, lo_pos, hi_pos, klo,
-                                    khi, kasof, stats);
-      } else {
-        positions = CollectMatches(
-            hi_pos - lo_pos,
-            [lo_pos](size_t i) { return static_cast<uint64_t>(lo_pos + i); },
-            matches, stats);
-      }
+    case ExecutionStrategy::kMonotoneBinarySearch:
+      // Valid times are non-decreasing in insertion order: binary search the
+      // vt_start column for the matching sub-range, then scan only
+      // existence.
+      std::tie(first, last) = MonotoneBounds(cols, lo.micros(), hi.micros());
+      Count(stats, last - first, 1);
+      if (kernel != ScanKernel::kRowAtATime) kernel = ScanKernel::kMonotone;
       break;
-    }
   }
 
-  RecordKernel(options_.trace, kernel_used);
+  std::vector<uint64_t> positions;
+  if (plan.strategy == ExecutionStrategy::kValidIndex) {
+    const auto pos_at = [c = probed.data()](size_t i) { return c[i]; };
+    positions = CollectMorsels(
+        probed.size(), ElementWalk(elements, pos_at, lo, hi, as_of), stats);
+  } else if (kernel == ScanKernel::kRowAtATime) {
+    const auto pos_at = [first](size_t i) -> uint64_t { return first + i; };
+    positions = CollectMorsels(
+        last - first, ElementWalk(elements, pos_at, lo, hi, as_of), stats);
+  } else {
+    positions = CollectMorsels(
+        last - first,
+        KernelBody(kernel, cols, first, lo.micros(), hi.micros(),
+                   as_of.has_value() ? as_of->micros() : kCurrentAsOf),
+        stats);
+  }
+  RecordKernel(options_.trace, kernel);
   stats->results += positions.size();
   return ResultSet(elements, std::move(positions));
 }
@@ -554,28 +433,17 @@ ResultSet QueryExecutor::ExistenceScan(int64_t as_of_micros,
   // Current and rollback queries share one shape: a full scan whose
   // predicate reads only the existence columns (no valid-time test at all) —
   // the existence_columnar kernel, with kCurrentAsOf selecting open
-  // intervals. The Element walk remains as the guard fallback.
+  // intervals.
   StatsTimer timer(stats);
   TraceContext::StageScope scan_stage(options_.trace, "scan");
-  const std::span<const Element> elements = relation_.elements();
-  Count(stats, elements.size());
-  std::vector<uint64_t> positions;
-  if (relation_.stamps().size() == elements.size()) {
-    RecordKernel(options_.trace, ScanKernel::kExistence);
-    positions = CollectColumnar(ScanKernel::kExistence, 0, elements.size(), 0,
-                                0, as_of_micros, stats);
-  } else {
-    RecordKernel(options_.trace, ScanKernel::kRowAtATime);
-    const TimePoint tt = TimePoint::FromMicros(as_of_micros);
-    positions = CollectMatches(
-        elements.size(), [](size_t i) { return static_cast<uint64_t>(i); },
-        [tt, as_of_micros](const Element& e) {
-          return as_of_micros == kCurrentAsOf ? e.IsCurrent() : e.ExistsAt(tt);
-        },
-        stats);
-  }
+  const StampColumns cols = relation_.stamps().columns();
+  Count(stats, cols.size);
+  RecordKernel(options_.trace, ScanKernel::kExistence);
+  std::vector<uint64_t> positions = CollectMorsels(
+      cols.size,
+      KernelBody(ScanKernel::kExistence, cols, 0, 0, 0, as_of_micros), stats);
   stats->results += positions.size();
-  return ResultSet(elements, std::move(positions));
+  return ResultSet(relation_.elements(), std::move(positions));
 }
 
 ResultSet QueryExecutor::TimesliceSet(TimePoint vt, QueryStats* stats) const {

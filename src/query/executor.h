@@ -6,18 +6,21 @@
 // timeslice strategies are interchangeable: they return the same result set;
 // only the number of elements examined differs (QueryStats).
 //
-// Execution engine: every strategy reduces to a scan over a candidate range
-// (the whole element array, a transaction-time window, a monotone sub-range,
-// or an index probe's position list). Contiguous candidate ranges run a
-// branch-free columnar kernel over the relation's StampStore when the plan
-// selects one (query/kernels.h); index probes and hand-built baseline plans
-// keep the row-at-a-time Element walk. The scan runs morsel-parallel on a
-// ThreadPool when the optimizer judges the candidate count worth the
-// dispatch cost; matches are collected per-morsel and concatenated in morsel
-// order, so parallel and serial execution return byte-identical,
-// position-ordered results. Results are zero-copy ResultSets (positions into
-// relation.elements()); the std::vector<Element> signatures below are thin
-// materializing adapters kept for existing callers.
+// Execution engine: every strategy reduces to a scan over its candidates:
+// a contiguous position range of the relation's StampStore (the whole
+// relation, a transaction-time window binary-searched on the tt_start
+// column, or a monotone sub-range binary-searched on vt_start), or an index
+// probe's position list. A contiguous range runs the plan's branch-free
+// columnar kernel (query/kernels.h). The row-at-a-time Element walk scans
+// only index-probe candidates and hand-built kRowAtATime plans, the naive
+// reference the kernels are differential-tested and benchmarked against.
+// One morsel driver runs either scan, morsel-parallel on a ThreadPool when
+// the optimizer judges the candidate count worth the dispatch cost; matches
+// are collected per morsel and concatenated in morsel order, so parallel and
+// serial execution return byte-identical, position-ordered results. Results
+// are zero-copy ResultSets (positions into relation.elements()); the
+// std::vector<Element> signatures below are thin materializing adapters
+// kept for existing callers.
 #ifndef TEMPSPEC_QUERY_EXECUTOR_H_
 #define TEMPSPEC_QUERY_EXECUTOR_H_
 
@@ -135,26 +138,17 @@ class QueryExecutor {
   /// scope's, never null.
   ResultSet ExistenceScan(int64_t as_of_micros, QueryStats* stats) const;
 
-  /// \brief Collects matching positions from `count` candidates, where
-  /// candidate `i` is element position `pos_at(i)` and matches when
-  /// `pred(element)`. Morsel-parallel above the optimizer's cutoff;
-  /// output is candidate-ordered either way.
-  template <typename PosAt, typename Pred>
-  std::vector<uint64_t> CollectMatches(size_t count, const PosAt& pos_at,
-                                       const Pred& pred,
+  /// \brief The one morsel driver: runs `scan(begin, end, &out)`, which
+  /// appends the matching element positions among candidates [begin, end),
+  /// over candidates [0, count), serially or per morsel above the
+  /// optimizer's cutoff. Each morsel scans into a private buffer
+  /// concatenated in morsel order, so the output is candidate-ordered and
+  /// byte-identical either way. Cancellation is polled once per morsel when
+  /// a trace is attached; morsels, cpu time, rows scanned and matched, and
+  /// aborts are counted into `stats`.
+  template <typename Scan>
+  std::vector<uint64_t> CollectMorsels(size_t count, const Scan& scan,
                                        QueryStats* stats) const;
-
-  /// \brief Columnar counterpart of CollectMatches for *contiguous*
-  /// candidate ranges: runs `kernel` (query/kernels.h) over positions
-  /// [first, last) of the relation's StampStore, serially or per-morsel
-  /// under the same parallel policy. Each morsel's selection bitmap drains
-  /// into a private buffer concatenated in morsel order, so results are
-  /// byte-identical to the serial kernel and to the row-at-a-time walk.
-  /// `as_of_micros` is kCurrentAsOf for current belief.
-  std::vector<uint64_t> CollectColumnar(ScanKernel kernel, size_t first,
-                                        size_t last, int64_t lo_micros,
-                                        int64_t hi_micros, int64_t as_of_micros,
-                                        QueryStats* stats) const;
 
   const TemporalRelation& relation_;
   Optimizer optimizer_;

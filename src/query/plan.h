@@ -21,15 +21,16 @@ enum class ExecutionStrategy : uint8_t {
   kFullScan,
   /// Probe the valid-time interval index.
   kValidIndex,
-  /// Derive a transaction-time window from the declared band and range-scan
-  /// the (always monotone) transaction-time index.
+  /// Derive a transaction-time window from the declared band and scan the
+  /// positions it covers: transaction time is always monotone, so the stamp
+  /// store's tt_start column is the index, binary-searched for the window.
   kTransactionWindow,
   /// Degenerate relations: valid time equals transaction time (within the
   /// granularity), so a timeslice IS a rollback — answered on the
-  /// append-only store.
+  /// append-only, time-ordered tt_start column.
   kRollbackEquivalence,
   /// Non-decreasing / sequential relations: valid times are sorted in
-  /// insertion order, so binary search directly on the element array.
+  /// insertion order, so binary search directly on the vt_start column.
   kMonotoneBinarySearch,
 };
 

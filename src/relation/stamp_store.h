@@ -1,16 +1,21 @@
-// Columnar stamp store: the structure-of-arrays twin of the element array.
+// Columnar stamp store: the relation's one position-ordered copy of the four
+// stamps that scans read.
 //
 // Every execution strategy ultimately evaluates a pair of half-plane tests
 // over (tt, vt) per candidate element (Figure 1: each pane IS such a pair).
 // Walking std::vector<Element> pays an ~88-byte stride and a Tuple pointer
 // chase per row just to read four int64 stamps. The StampStore keeps those
-// stamps — and only those — in parallel flat arrays, position-aligned with
-// relation.elements(), so a scan kernel touches 8–32 contiguous bytes per
-// row and the compiler can auto-vectorize the predicate (see
-// query/kernels.h). The store is maintained by TemporalRelation at every
-// mutation point (insert, logical delete, recovery replay, vacuum rebuild)
-// exactly like the partitions and indexes; it is derived state, never
-// persisted.
+// stamps — and only those — in four parallel flat arrays, position-aligned
+// with relation.elements(), so a scan kernel touches 8–32 contiguous bytes
+// per row and the compiler can auto-vectorize the predicate (see
+// query/kernels.h). It has one append point, called by the relation's single
+// append-an-element path (insert, recovery replay and vacuum rebuild alike),
+// and is derived state, never persisted.
+//
+// Transaction time is monotone by construction, so the tt_start column is
+// sorted and doubles as the transaction-time index (Section 3.1's
+// append-only, time-ordered store): a transaction-time window is a binary
+// search over it.
 //
 // Event stamps are stored as unit-chronon intervals [at, at+1), mirroring
 // how the valid-time interval index stores them: the generic half-open
@@ -25,6 +30,7 @@
 
 #include "model/element.h"
 #include "timex/time_point.h"
+#include "util/status.h"
 
 namespace tempspec {
 
@@ -33,11 +39,10 @@ namespace tempspec {
 /// Validity matches relation.elements(): any mutation of the relation
 /// invalidates the pointers (vectors may reallocate).
 struct StampColumns {
-  const int64_t* tt_start = nullptr;  // insertion transaction time (micros)
+  const int64_t* tt_start = nullptr;  // insertion tt (micros), non-decreasing
   const int64_t* tt_end = nullptr;    // deletion tt; INT64_MAX while current
   const int64_t* vt_start = nullptr;  // valid begin (event: at)
   const int64_t* vt_end = nullptr;    // valid end (event: at + 1)
-  const uint64_t* surrogate = nullptr;  // element surrogates, same order
   size_t size = 0;
 };
 
@@ -46,14 +51,23 @@ class StampStore {
  public:
   /// \brief Appends the stamps of `e` at the next position. Must be called
   /// in element-position order (the relation appends exactly when it
-  /// appends to elements_).
-  void Append(const Element& e) {
-    tt_start_.push_back(e.tt_begin.micros());
+  /// appends to elements_). Rejects a transaction time earlier than the
+  /// last one: tt_start must stay sorted to serve as the transaction-time
+  /// index.
+  Status Append(const Element& e) {
+    const int64_t tt = e.tt_begin.micros();
+    if (!tt_start_.empty() && tt < tt_start_.back()) {
+      return Status::InvalidArgument(
+          "stamp store requires non-decreasing transaction times: ",
+          e.tt_begin.ToString(), " after ",
+          TimePoint::FromMicros(tt_start_.back()).ToString());
+    }
+    tt_start_.push_back(tt);
     tt_end_.push_back(e.tt_end.micros());
     vt_start_.push_back(e.valid.begin().micros());
     vt_end_.push_back(e.valid.is_event() ? e.valid.at().micros() + 1
                                          : e.valid.end().micros());
-    surrogate_.push_back(e.element_surrogate);
+    return Status::OK();
   }
 
   /// \brief Mirrors a logical deletion: closes the existence interval of the
@@ -68,7 +82,6 @@ class StampStore {
     tt_end_.clear();
     vt_start_.clear();
     vt_end_.clear();
-    surrogate_.clear();
   }
 
   size_t size() const { return tt_start_.size(); }
@@ -79,7 +92,6 @@ class StampStore {
     c.tt_end = tt_end_.data();
     c.vt_start = vt_start_.data();
     c.vt_end = vt_end_.data();
-    c.surrogate = surrogate_.data();
     c.size = tt_start_.size();
     return c;
   }
@@ -89,7 +101,6 @@ class StampStore {
   std::vector<int64_t> tt_end_;
   std::vector<int64_t> vt_start_;
   std::vector<int64_t> vt_end_;
-  std::vector<uint64_t> surrogate_;
 };
 
 }  // namespace tempspec

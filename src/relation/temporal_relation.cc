@@ -55,15 +55,9 @@ Status TemporalRelation::ApplyRecoveredEntries() {
       // describes the data in the relation, not just this process's inserts.
       drift_.Observe(e.tt_begin, e.valid.begin());
       TS_RETURN_NOT_OK(checker_.OnInsert(e));
-      by_surrogate_[e.element_surrogate] = elements_.size();
-      if (partitions_.find(e.object_surrogate) == partitions_.end()) {
-        object_order_.push_back(e.object_surrogate);
-      }
-      partitions_[e.object_surrogate].push_back(elements_.size());
-      IndexElement(e, elements_.size());
-      elements_.push_back(e);
       surrogates_.EnsureAbove(e.element_surrogate);
       clock_->EnsureAfter(e.tt_begin);
+      AppendElement(e);
     } else {
       auto it = by_surrogate_.find(entry.target);
       if (it == by_surrogate_.end()) {
@@ -80,15 +74,16 @@ Status TemporalRelation::ApplyRecoveredEntries() {
   return Status::OK();
 }
 
-void TemporalRelation::IndexElement(const Element& e, size_t position) {
-  // Transaction time is monotone by construction, so the tt index is always
-  // append-only regardless of specialization.
-  tt_index_.Append(e.tt_begin, position).Check();
-  // The columnar stamp store is position-aligned with elements_: every
-  // caller indexes exactly the element it is about to append (or, on vacuum
-  // rebuild, position i of the compacted array), so appending here keeps the
-  // columns in lockstep across insert, recovery, and vacuum.
-  stamps_.Append(e);
+void TemporalRelation::AppendElement(Element e) {
+  const size_t position = elements_.size();
+  // The stamp store's tt_start column is the transaction-time index, so a
+  // transaction time that goes backwards breaks an engine invariant (the
+  // clock is monotone); it is not an input error to report.
+  stamps_.Append(e).Check();
+  by_surrogate_[e.element_surrogate] = position;
+  auto [partition, first_seen] = partitions_.try_emplace(e.object_surrogate);
+  if (first_seen) object_order_.push_back(e.object_surrogate);
+  partition->second.push_back(position);
   if (e.valid.is_event()) {
     valid_index_.Insert(e.valid.at(),
                         TimePoint::FromMicros(e.valid.at().micros() + 1),
@@ -96,6 +91,7 @@ void TemporalRelation::IndexElement(const Element& e, size_t position) {
   } else {
     valid_index_.Insert(e.valid.begin(), e.valid.end(), position);
   }
+  elements_.push_back(std::move(e));
 }
 
 Result<ElementSurrogate> TemporalRelation::Insert(ObjectSurrogate object,
@@ -172,14 +168,8 @@ Result<ElementSurrogate> TemporalRelation::InsertAt(TimePoint tt,
   entry.element = e;
   TS_RETURN_NOT_OK(backlog_->Append(entry));
 
-  by_surrogate_[e.element_surrogate] = elements_.size();
-  if (partitions_.find(object) == partitions_.end()) {
-    object_order_.push_back(object);
-  }
-  partitions_[object].push_back(elements_.size());
-  IndexElement(e, elements_.size());
   const ElementSurrogate id = e.element_surrogate;
-  elements_.push_back(std::move(e));
+  AppendElement(std::move(e));
   if (snapshots_) snapshots_->Refresh();
   return id;
 }
@@ -288,31 +278,31 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
   // one retained trace, so a slow vacuum is attributable after the fact.
   TraceContext span;
   span.Begin("background.vacuum");
-  std::vector<Element> kept;
-  kept.reserve(elements_.size());
+  // Only elements whose existence interval has closed can be dead; current
+  // elements (open tt_d) always survive.
+  const auto dead = [horizon](const Element& e) {
+    return !e.tt_end.IsMax() && e.tt_end <= horizon;
+  };
+  size_t removed = 0;
   {
     TraceContext::StageScope stage(&span, "collect");
-    for (Element& e : elements_) {
-      // Only elements whose existence interval has closed can be dead;
-      // current elements (open tt_d) always survive.
-      if (!e.tt_end.IsMax() && e.tt_end <= horizon) continue;
-      kept.push_back(std::move(e));
-    }
+    removed = static_cast<size_t>(
+        std::count_if(elements_.begin(), elements_.end(), dead));
   }
-  const size_t removed = elements_.size() - kept.size();
-  span.AddCounter("elements_kept", kept.size());
+  const size_t kept = elements_.size() - removed;
+  span.AddCounter("elements_kept", kept);
   span.AddCounter("elements_dropped", removed);
-  if (removed == 0) {
-    elements_ = std::move(kept);
-    return size_t{0};
-  }
+  if (removed == 0) return size_t{0};
 
   // Compact the backlog: re-derive the operation history of the survivors.
+  // The elements themselves stay untouched until the compacted backlog is
+  // adopted, so a failed compaction leaves the relation readable.
   std::vector<BacklogEntry> compacted;
   {
     TraceContext::StageScope stage(&span, "compact");
-    compacted.reserve(kept.size() * 2);
-    for (const Element& e : kept) {
+    compacted.reserve(kept * 2);
+    for (const Element& e : elements_) {
+      if (dead(e)) continue;
       BacklogEntry ins;
       ins.op = BacklogOpType::kInsert;
       ins.tt = e.tt_begin;
@@ -320,8 +310,8 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
       ins.element.tt_end = TimePoint::Max();  // the delete is its own entry
       compacted.push_back(std::move(ins));
     }
-    for (const Element& e : kept) {
-      if (e.tt_end.IsMax()) continue;
+    for (const Element& e : elements_) {
+      if (e.tt_end.IsMax() || dead(e)) continue;
       BacklogEntry del;
       del.op = BacklogOpType::kLogicalDelete;
       del.tt = e.tt_end;
@@ -335,24 +325,18 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
   }
   TS_RETURN_NOT_OK(backlog_->ReplaceAll(std::move(compacted), &span));
 
-  // Rebuild the in-memory store and indexes.
+  // Rebuild the in-memory store and indexes from the survivors.
   {
     TraceContext::StageScope reindex_stage(&span, "reindex");
-    elements_ = std::move(kept);
+    std::vector<Element> old = std::move(elements_);
+    elements_.reserve(kept);
     by_surrogate_.clear();
     partitions_.clear();
     object_order_.clear();
-    tt_index_ = AppendOnlyIndex();
     valid_index_ = IntervalIndex();
     stamps_.Clear();
-    for (size_t i = 0; i < elements_.size(); ++i) {
-      const Element& e = elements_[i];
-      by_surrogate_[e.element_surrogate] = i;
-      if (partitions_.find(e.object_surrogate) == partitions_.end()) {
-        object_order_.push_back(e.object_surrogate);
-      }
-      partitions_[e.object_surrogate].push_back(i);
-      IndexElement(e, i);
+    for (Element& e : old) {
+      if (!dead(e)) AppendElement(std::move(e));
     }
     if (snapshot_interval_ > 0) {
       snapshots_ =

@@ -14,6 +14,13 @@
 // Queries over transaction time (rollback) and valid time (timeslice) are in
 // src/query; this class exposes the raw state-reconstruction primitives.
 //
+// Storage: elements_ holds every element in insertion order, and the
+// StampStore holds the same elements' four stamps as columns; transaction
+// time is monotone, so its sorted tt_start column is the transaction-time
+// index. Both, with the per-surrogate partitions and the valid-time interval
+// index, grow through one append path (AppendElement) that insert, recovery
+// replay and vacuum rebuild share.
+//
 // Concurrent-access contract (for the morsel-parallel execution layer): the
 // relation is single-writer. All const member functions — elements(),
 // StateAt(), the index accessors, GetElement(), PartitionOf(), GetStats() —
@@ -31,7 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/append_index.h"
 #include "index/interval_index.h"
 #include "model/element.h"
 #include "model/schema.h"
@@ -138,18 +144,14 @@ class TemporalRelation {
 
   // -- Indexes ---------------------------------------------------------------
 
-  /// \brief Positions of elements by insertion transaction time (always
-  /// maintainable as append-only: transaction time is monotone).
-  const AppendOnlyIndex& transaction_index() const { return tt_index_; }
-
   /// \brief Interval index over valid time (events indexed as unit-chronon
   /// intervals).
   const IntervalIndex& valid_index() const { return valid_index_; }
 
   /// \brief Columnar copy of every element's stamps, position-aligned with
   /// elements(): the input of the vectorized scan kernels (query/kernels.h).
-  /// Maintained through every mutation and rebuilt on recovery and vacuum
-  /// like the other derived structures.
+  /// Its sorted tt_start column is also the transaction-time index
+  /// (relation/stamp_store.h).
   const StampStore& stamps() const { return stamps_; }
 
   // -- Integrity ------------------------------------------------------------
@@ -167,7 +169,8 @@ class TemporalRelation {
   /// no longer answerable — this deliberately trades the paper's
   /// keep-everything semantics for space, as production systems must.
   /// Indexes, partitions, the backlog (compacted, durably when applicable),
-  /// and the snapshot cache are rebuilt. Returns the number of elements
+  /// and the snapshot cache are rebuilt; when compacting the backlog fails,
+  /// the elements are left as they were. Returns the number of elements
   /// removed. Constraint-checker state is preserved: future updates must
   /// still be consistent with the full (pre-vacuum) history.
   Result<size_t> VacuumBefore(TimePoint horizon);
@@ -200,7 +203,11 @@ class TemporalRelation {
                                     ValidTime valid, Tuple attributes);
   Status LogicalDeleteAt(TimePoint tt, ElementSurrogate surrogate);
   Status ApplyRecoveredEntries();
-  void IndexElement(const Element& e, size_t position);
+  /// \brief Appends `e` at the next position with its stamp row, partition
+  /// entry and index entries: the one append path of insert, recovery replay
+  /// and vacuum rebuild. Aborts if `e`'s transaction time precedes the last
+  /// one (transaction time is monotone by construction).
+  void AppendElement(Element e);
 
   SchemaPtr schema_;
   SpecializationSet specs_;
@@ -217,7 +224,6 @@ class TemporalRelation {
   std::unordered_map<ElementSurrogate, size_t> by_surrogate_;
   std::unordered_map<ObjectSurrogate, std::vector<size_t>> partitions_;
   std::vector<ObjectSurrogate> object_order_;
-  AppendOnlyIndex tt_index_;
   IntervalIndex valid_index_;
   StampStore stamps_;
 };

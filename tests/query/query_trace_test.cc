@@ -161,6 +161,30 @@ TEST_F(QueryTraceTest, TimesliceCountsOnceIntoItsSpanStrategyAndKernel) {
   }
 }
 
+// An empty transaction-time window runs, and records, the planned kernel:
+// a TIMESLICE long before the first insert of a strongly bounded relation
+// records banded_columnar (EXPLAIN ANALYZE's `kernel` attribute), not
+// row_at_a_time, which the drift attribution reads as a fallback.
+TEST_F(QueryTraceTest, EmptyTransactionWindowRecordsThePlannedKernel) {
+  WorkloadConfig config;
+  config.num_objects = 4;
+  config.ops_per_object = 64;
+  ASSERT_OK_AND_ASSIGN(auto scenario, MakeAccounting(config));
+  ASSERT_OK(GenerateAccounting(config, &scenario));
+  TraceContext trace;
+  QueryExecutor exec(*scenario.relation,
+                     ExecutorOptions{.pool = nullptr, .trace = &trace});
+  const TimePoint vt = Civil(1900, 1, 1);
+  const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
+  ASSERT_EQ(plan.strategy, ExecutionStrategy::kTransactionWindow);
+  ASSERT_EQ(plan.kernel, ScanKernel::kBanded);
+
+  QueryStats stats;
+  EXPECT_TRUE(exec.TimesliceSet(vt, &stats).empty());
+  EXPECT_EQ(stats.elements_examined, 0u);
+  EXPECT_EQ(trace.attr("kernel"), ScanKernelToToken(plan.kernel));
+}
+
 class ExplainAnalyzeTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -4,9 +4,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "testing.h"
+#include "util/failpoint.h"
 
 namespace tempspec {
 namespace {
@@ -37,6 +39,27 @@ SchemaPtr EventSchema(const std::string& name = "measurements") {
                                     AttributeRole::kTimeVarying}},
                       ValidTimeKind::kEvent, Granularity::Second())
       .ValueOrDie();
+}
+
+/// \brief The invariant the executor relies on without checking it per
+/// query: the stamp store holds one row per element, equal to that element's
+/// stamps, and its tt_start column (the transaction-time index) is sorted.
+void ExpectStampsAligned(const TemporalRelation& rel) {
+  const StampColumns cols = rel.stamps().columns();
+  ASSERT_EQ(rel.stamps().size(), rel.size());
+  ASSERT_EQ(cols.size, rel.size());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const Element& e = rel.elements()[i];
+    EXPECT_EQ(cols.tt_start[i], e.tt_begin.micros()) << i;
+    EXPECT_EQ(cols.tt_end[i], e.tt_end.micros()) << i;
+    EXPECT_EQ(cols.vt_start[i], e.valid.begin().micros()) << i;
+    EXPECT_EQ(cols.vt_end[i], e.valid.is_event() ? e.valid.at().micros() + 1
+                                                 : e.valid.end().micros())
+        << i;
+    if (i > 0) {
+      EXPECT_LE(cols.tt_start[i - 1], cols.tt_start[i]) << i;
+    }
+  }
 }
 
 RelationOptions BaseOptions(std::shared_ptr<LogicalClock>* clock_out = nullptr) {
@@ -85,6 +108,7 @@ TEST(RelationTest, LogicalDeleteClosesExistenceInterval) {
   // Double delete rejected; missing element rejected.
   EXPECT_TRUE(rel->LogicalDelete(id).IsInvalidArgument());
   EXPECT_TRUE(rel->LogicalDelete(9999).IsNotFound());
+  ExpectStampsAligned(*rel);
 }
 
 TEST(RelationTest, ModifySharesOneTransactionTime) {
@@ -109,6 +133,7 @@ TEST(RelationTest, ModifySharesOneTransactionTime) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(before[0].element_surrogate, old_id);
   EXPECT_EQ(after[0].element_surrogate, new_id);
+  ExpectStampsAligned(*rel);
 }
 
 TEST(RelationTest, RollbackStatesFollowHistory) {
@@ -167,9 +192,13 @@ TEST(RelationTest, TransactionIndexIsAppendOnly) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_OK(rel->InsertEvent(1, T(i), Tuple{int64_t{1}, 0.0}).status());
   }
-  EXPECT_EQ(rel->transaction_index().size(), 50u);
+  EXPECT_EQ(rel->stamps().size(), 50u);
   // tt range [1000, 1090] covers the first 10 inserts.
-  EXPECT_EQ(rel->transaction_index().Range(T(1000), T(1090)).size(), 10u);
+  const StampColumns cols = rel->stamps().columns();
+  const int64_t* const tt = cols.tt_start;
+  EXPECT_EQ(std::upper_bound(tt, tt + cols.size, T(1090).micros()) -
+                std::lower_bound(tt, tt + cols.size, T(1000).micros()),
+            10);
 }
 
 TEST(RelationTest, ValidIndexAnswersStabs) {
@@ -213,6 +242,7 @@ TEST(RelationTest, DurableRecoveryRestoresEverything) {
   EXPECT_GT(next, 3u);
   ASSERT_OK_AND_ASSIGN(Element ne, rel->GetElement(next));
   EXPECT_GT(ne.tt_begin, T(1030));
+  ExpectStampsAligned(*rel);
 }
 
 TEST(RelationTest, RecoveryEnforcesConstraintsOnNewInserts) {
@@ -301,7 +331,7 @@ TEST(RelationTest, VacuumRemovesDeadHistory) {
   EXPECT_EQ(rel->StateAt(T(1045)).size(), 1u);
   EXPECT_EQ(rel->CurrentState().size(), 1u);
   // Indexes were rebuilt consistently.
-  EXPECT_EQ(rel->transaction_index().size(), 2u);
+  EXPECT_EQ(rel->stamps().size(), 2u);
   EXPECT_EQ(rel->valid_index().Stab(T(905)).size(), 1u);
   EXPECT_EQ(rel->valid_index().Stab(T(900)).size(), 0u);
   // A second vacuum with nothing to do is a no-op.
@@ -309,6 +339,7 @@ TEST(RelationTest, VacuumRemovesDeadHistory) {
   EXPECT_EQ(again, 0u);
   // New updates still work after the rebuild.
   EXPECT_OK(rel->InsertEvent(4, T(950), Tuple{int64_t{4}, 4.0}).status());
+  ExpectStampsAligned(*rel);
 }
 
 TEST(RelationTest, VacuumRebuildsSnapshotCache) {
@@ -336,6 +367,7 @@ TEST(RelationTest, VacuumRebuildsSnapshotCache) {
     EXPECT_EQ(rel->StateAt(tt).size(), expected);
     EXPECT_EQ(expected, 40u);
   }
+  ExpectStampsAligned(*rel);
 }
 
 TEST(RelationTest, VacuumDurableSurvivesReopen) {
@@ -361,6 +393,40 @@ TEST(RelationTest, VacuumDurableSurvivesReopen) {
   EXPECT_EQ(rel->size(), 1u);
   EXPECT_TRUE(rel->GetElement(dead).status().IsNotFound());
   EXPECT_OK(rel->GetElement(alive).status());
+  ExpectStampsAligned(*rel);
+}
+
+// A vacuum whose backlog compaction fails must not touch the elements: the
+// relation stays readable with every attribute tuple intact.
+TEST(RelationTest, FailedVacuumLeavesTheRelationReadable) {
+  TempDir dir;
+  RelationOptions options = BaseOptions();
+  options.storage.directory = dir.path();
+  ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(std::move(options)));
+  const Tuple a_attributes{int64_t{1}, 1.0};
+  const Tuple b_attributes{int64_t{2}, 2.0};
+  ASSERT_OK_AND_ASSIGN(ElementSurrogate a,
+                       rel->InsertEvent(1, T(900), a_attributes));
+  ASSERT_OK_AND_ASSIGN(ElementSurrogate b,
+                       rel->InsertEvent(2, T(905), b_attributes));
+  ASSERT_OK(rel->LogicalDelete(a));
+
+  // Every page write fails, more times than storage retries a transient
+  // error, so the compacted backlog cannot be written.
+  FaultSpec fault;
+  fault.kind = FaultKind::kTransientError;
+  fault.transient_ops = 1000;
+  FailpointRegistry::Instance().Arm("disk.write_page", fault);
+  const Result<size_t> vacuum = rel->VacuumBefore(TimePoint::Max());
+  FailpointRegistry::Instance().DisarmAll();
+  EXPECT_FALSE(vacuum.ok());
+
+  EXPECT_EQ(rel->size(), 2u);
+  ASSERT_OK_AND_ASSIGN(Element ea, rel->GetElement(a));
+  EXPECT_EQ(ea.attributes, a_attributes);
+  ASSERT_OK_AND_ASSIGN(Element eb, rel->GetElement(b));
+  EXPECT_EQ(eb.attributes, b_attributes);
+  ExpectStampsAligned(*rel);
 }
 
 TEST(RelationTest, IntervalRelationEndToEnd) {
@@ -382,6 +448,7 @@ TEST(RelationTest, IntervalRelationEndToEnd) {
   // Event stamp into an interval relation: rejected.
   EXPECT_FALSE(rel->Insert(1, ValidTime::Event(T(300)), Tuple{int64_t{1}}).ok());
   EXPECT_EQ(rel->size(), 2u);
+  ExpectStampsAligned(*rel);
 }
 
 }  // namespace
