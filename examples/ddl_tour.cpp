@@ -6,17 +6,12 @@
 #include "catalog/catalog.h"
 #include "catalog/query_lang.h"
 #include "lang/ddl.h"
-#include "obs/exporter.h"
 #include "query/executor.h"
 #include "timex/calendar.h"
 
 using namespace tempspec;
 
 int main() {
-  // Headless runs are unchanged; with TEMPSPEC_EXPORTER_PORT set the tour
-  // doubles as a live scrape target (CI curls /metrics and /healthz off it).
-  auto exporter = TelemetryExporter::MaybeStartFromEnv();
-
   Catalog catalog;
   auto clock = std::make_shared<LogicalClock>(
       FromCivil(CivilDateTime{1992, 2, 3, 0, 0, 0, 0}), Duration::Seconds(30));
@@ -113,9 +108,5 @@ int main() {
     std::cout << "> " << q << "\n"
               << ExecuteQuery(catalog, q).ValueOrDie().ToString() << "\n";
   }
-
-  // With the exporter up, TEMPSPEC_EXPORTER_LINGER_MS keeps the process
-  // alive so an external scraper can read the finished tour's registry.
-  TelemetryExporter::LingerFromEnv();
   return 0;
 }

@@ -19,8 +19,8 @@
 // binary frame protocol (net/frame.h), anything else is HTTP/1.x
 // (net/http.h). The telemetry endpoints (/metrics, /varz, /healthz,
 // /debug/*) and the query endpoint (POST /query) are both plain HTTP
-// handlers registered on the same server, so the exporter and the daemon
-// share a single network stack.
+// handlers registered on the same server, so the query plane and the
+// telemetry plane share a single network stack.
 //
 // Operational policies, all tunable via ServerOptions:
 //

@@ -152,7 +152,7 @@ class FlightRecorder {
   static void InstallCrashHandler(const char* path);
 
   /// \brief InstallCrashHandler(TEMPSPEC_FLIGHT_DUMP) when that env var is
-  /// set (called from TelemetryExporter::MaybeStartFromEnv).
+  /// set (tempspec_serve calls it at startup).
   static void MaybeInstallFromEnv();
 
  private:

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace tempspec {
 
 namespace {
@@ -20,34 +18,9 @@ uint64_t NowUnixMicros() {
 }  // namespace
 
 std::string HistorySample::ToJson() const {
-  std::string out = "{\"unix_micros\":" + std::to_string(unix_micros);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + JsonEscape(name) + "\":" + std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + JsonEscape(name) + "\":" + std::to_string(value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, digest] : histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + JsonEscape(name) + "\":{\"count\":" +
-           std::to_string(digest.count) + ",\"sum\":" +
-           std::to_string(digest.sum) + ",\"p50\":" +
-           std::to_string(digest.p50) + ",\"p99\":" +
-           std::to_string(digest.p99) + '}';
-  }
-  out += "}}";
-  return out;
+  std::string json = metrics.ToJson();
+  json.insert(1, "\"unix_micros\":" + std::to_string(unix_micros) + ",");
+  return json;
 }
 
 MetricsHistory& MetricsHistory::Instance() {
@@ -70,19 +43,9 @@ size_t MetricsHistory::capacity() const {
 }
 
 void MetricsHistory::SampleOnce() {
-  const MetricsSnapshot snapshot = MetricsRegistry::Instance().Scrape();
   HistorySample sample;
   sample.unix_micros = NowUnixMicros();
-  sample.counters = snapshot.counters;
-  sample.gauges = snapshot.gauges;
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    HistorySample::HistogramDigest digest;
-    digest.count = histogram.count;
-    digest.sum = histogram.sum;
-    digest.p50 = histogram.Percentile(0.50);
-    digest.p99 = histogram.Percentile(0.99);
-    sample.histograms.emplace(name, digest);
-  }
+  sample.metrics = MetricsRegistry::Instance().Scrape();
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
   if (ring_.size() >= capacity_) ring_.erase(ring_.begin());

@@ -2,12 +2,11 @@
 // snapshots, so "what did this counter look like over the last ten minutes"
 // is answerable from the process itself — no external scraper required.
 //
-// Each sample compresses one MetricsRegistry scrape to the JSON-friendly
-// essentials (counter values, gauge values, histogram count/sum/p50/p99) and
-// stamps it with wall-clock time. The ring is served as JSONL by
-// /metrics/history and `SHOW HISTORY`, and the optional sampler thread
-// doubles as the SLO watchdog's heartbeat (tools/tempspec_serve passes the
-// watchdog evaluation as the per-sample hook).
+// Each sample is one MetricsRegistry scrape stamped with wall-clock time.
+// The ring is served as JSONL by /metrics/history and `SHOW HISTORY`, and
+// the optional sampler thread doubles as the SLO watchdog's heartbeat
+// (tools/tempspec_serve passes the watchdog evaluation as the per-sample
+// hook).
 //
 // Like the span store this is mutex-guarded: sampling happens every few
 // seconds, never on a query path.
@@ -17,29 +16,22 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace tempspec {
 
-/// \brief One point-in-time digest of the metrics registry.
+/// \brief One point-in-time scrape of the metrics registry.
 struct HistorySample {
   uint64_t unix_micros = 0;
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
-  struct HistogramDigest {
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint64_t p50 = 0;
-    uint64_t p99 = 0;
-  };
-  std::map<std::string, HistogramDigest> histograms;
+  MetricsSnapshot metrics;
 
-  /// \brief Single-line JSON: {"unix_micros":N,"counters":{...},
-  /// "gauges":{...},"histograms":{"name":{"count":..,"p99":..},...}}.
+  /// \brief The scrape's single-line JSON with the time as its first key:
+  /// {"unix_micros":N,"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string ToJson() const;
 };
 

@@ -2,27 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
-#include <optional>
 
 #include "obs/metrics.h"
 
 namespace tempspec {
-
-namespace {
-
-// A decimal environment value; nullopt when unset, empty or not a number.
-std::optional<uint64_t> EnvU64(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return std::nullopt;
-  return static_cast<uint64_t>(parsed);
-}
-
-}  // namespace
 
 std::string StoredSpan::SlowJson() const {
   std::string out = "{\"sequence\":" + std::to_string(sequence) +
@@ -110,17 +94,6 @@ size_t SpanStore::capacity() const {
 void SpanStore::SetSinkPath(std::string path) {
   std::lock_guard<std::mutex> lock(mu_);
   sink_path_ = std::move(path);
-}
-
-void SpanStore::ConfigureFromEnv() {
-  if (auto v = EnvU64("TEMPSPEC_SLOWLOG_MICROS")) SetThresholdMicros(*v);
-  if (const char* v = std::getenv("TEMPSPEC_SLOWLOG_PATH")) {
-    if (*v != '\0') SetSinkPath(v);
-  }
-  if (auto v = EnvU64("TEMPSPEC_TRACE_CAPACITY"); v && *v > 0) {
-    SetCapacity(static_cast<size_t>(*v));
-  }
-  if (auto v = EnvU64("TEMPSPEC_TRACE_SAMPLE")) SetSampleEvery(*v);
 }
 
 void SpanStore::Record(TraceContext& trace) { Offer(trace, nullptr); }

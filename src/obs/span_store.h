@@ -13,7 +13,8 @@
 // (TEMPSPEC_TRACE_CAPACITY, default 128), so fast sampled traffic never
 // evicts a slow statement. JSON is produced only when a view is read:
 // SHOW SLOW QUERIES and the JSONL sink (TEMPSPEC_SLOWLOG_PATH) show the slow
-// spans, SHOW TRACES and /debug/traces the sampled ones.
+// spans, SHOW TRACES and /debug/traces the sampled ones. tempspec_serve reads
+// the TEMPSPEC_* variables named here and calls the setters below.
 //
 // Concurrency: one mutex guards the settings and both rings. Record() takes
 // it to decide admission and again to place the kept span, and copies the
@@ -82,10 +83,6 @@ class SpanStore {
   /// \brief Appends each slow span's line to this file ("" = no sink). The
   /// file is opened per write in append mode, so rotation by rename works.
   void SetSinkPath(std::string path);
-
-  /// \brief Applies TEMPSPEC_SLOWLOG_MICROS, TEMPSPEC_SLOWLOG_PATH,
-  /// TEMPSPEC_TRACE_CAPACITY and TEMPSPEC_TRACE_SAMPLE when set.
-  void ConfigureFromEnv();
 
   /// \brief Offers a finished span of background work: kept if sampled.
   /// Ends the span if the caller has not; ignores one never begun.

@@ -301,14 +301,14 @@ std::vector<Element> BacklogStore::ReconstructElements() const {
   return out;
 }
 
-Status BacklogStore::PersistRange(BufferPool* pool, size_t begin, size_t end) {
-  if (begin >= end) return Status::OK();
+Status BacklogStore::PersistRange(BufferPool* pool,
+                                  std::span<const BacklogEntry> entries) {
   // Always start the batch on a fresh page: the tail page of the previous
   // checkpoint holds records the WAL no longer covers, and a torn in-place
   // rewrite of that page would destroy durable data.
   PageId current = kInvalidPageId;
-  for (size_t i = begin; i < end; ++i) {
-    const std::string payload = entries_[i].Encode();
+  for (const BacklogEntry& entry : entries) {
+    const std::string payload = entry.Encode();
     std::string record;
     Encoder enc(&record);
     enc.PutU32(Crc32(payload));
@@ -338,8 +338,8 @@ Status BacklogStore::CheckpointInternal(TraceContext* trace) {
   // 1. Persist the new batch onto fresh pages and make them durable.
   {
     TraceContext::StageScope stage(trace, "persist");
-    TS_RETURN_NOT_OK(
-        PersistRange(pool_.get(), persisted_entries_, entries_.size()));
+    TS_RETURN_NOT_OK(PersistRange(
+        pool_.get(), std::span(entries_).subspan(persisted_entries_)));
     TS_RETURN_NOT_OK(pool_->FlushAll());
   }
   // 2. Only now discard the WAL (truncate + fsync file and directory).
@@ -385,12 +385,12 @@ Status BacklogStore::ReplaceAll(std::vector<BacklogEntry> entries,
     return Status::IOError(
         "backlog store is read-only after an IO failure; reopen to recover");
   }
-  const uint64_t old_count = entries_.size();
-  entries_ = std::move(entries);
-  persisted_entries_ = 0;
-  if (!wal_) return Status::OK();
+  if (!wal_) {
+    entries_ = std::move(entries);
+    return Status::OK();
+  }
   TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionBegin,
-            old_count, entries_.size(), "");
+            entries_.size(), entries.size(), "");
 
   // Build the compacted generation in a side file and adopt it with an
   // atomic rename: a crash at any point leaves either the old complete
@@ -413,7 +413,7 @@ Status BacklogStore::ReplaceAll(std::vector<BacklogEntry> entries,
       }
       side_pool = std::make_unique<BufferPool>(side.get(), buffer_pool_pages_);
       TS_RETURN_NOT_OK(WriteHeaderPage(side_pool.get(), new_epoch));
-      TS_RETURN_NOT_OK(PersistRange(side_pool.get(), 0, entries_.size()));
+      TS_RETURN_NOT_OK(PersistRange(side_pool.get(), entries));
       TS_RETURN_NOT_OK(side_pool->FlushAll());
     }
     {
@@ -423,7 +423,9 @@ Status BacklogStore::ReplaceAll(std::vector<BacklogEntry> entries,
     TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionRename,
               new_epoch, 0, "");
     // The rename is the commit point: adopt the new generation (the old
-    // pool's frames reference the unlinked old file) and discard the WAL.
+    // pool's frames reference the unlinked old file) and its history, and
+    // discard the WAL. Until here entries_ still describes the durable state.
+    entries_ = std::move(entries);
     pool_ = std::move(side_pool);
     disk_ = std::move(side);
     epoch_ = new_epoch;

@@ -42,6 +42,7 @@
 #define TEMPSPEC_STORAGE_BACKLOG_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,7 +136,7 @@ class BacklogStore {
   Status RecoverFromPages();
   Status WriteHeaderPage(BufferPool* pool, uint64_t epoch);
   Status CheckpointInternal(TraceContext* trace);
-  Status PersistRange(BufferPool* pool, size_t begin, size_t end);
+  Status PersistRange(BufferPool* pool, std::span<const BacklogEntry> entries);
 
   size_t buffer_pool_pages_ = 64;
 

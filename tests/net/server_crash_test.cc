@@ -258,10 +258,17 @@ TEST(ServerCrashTest, MalformedOrOutOfRangeNumbersExitWithUsage) {
     ASSERT_TRUE(wstatus != -1 && WIFEXITED(wstatus)) << "daemon kept running";
     EXPECT_EQ(WEXITSTATUS(wstatus), 2);
   }
-  // The environment fallbacks go through the same parser.
-  const int wstatus = ServeExitStatus("", "TEMPSPEC_SERVE_MAX_INFLIGHT=-1");
-  ASSERT_TRUE(wstatus != -1 && WIFEXITED(wstatus)) << "daemon kept running";
-  EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+  // The environment fallbacks, and the span store's environment-only
+  // settings, go through the same parser. A trace capacity of -1 used to
+  // abort the daemon (a ring of 2^64 - 1 slots), and "7abc" sampled 1 in 7.
+  for (const char* env :
+       {"TEMPSPEC_SERVE_MAX_INFLIGHT=-1", "TEMPSPEC_TRACE_CAPACITY=-1",
+        "TEMPSPEC_TRACE_SAMPLE=7abc"}) {
+    SCOPED_TRACE(env);
+    const int wstatus = ServeExitStatus("", env);
+    ASSERT_TRUE(wstatus != -1 && WIFEXITED(wstatus)) << "daemon kept running";
+    EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+  }
 }
 
 }  // namespace

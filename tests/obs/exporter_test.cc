@@ -1,7 +1,8 @@
-// Telemetry exporter: Prometheus text rendering and the embedded HTTP
-// server. The rendering tests work on hand-built snapshots; the server
-// tests bind an ephemeral loopback port and speak minimal HTTP/1.0 over a
-// raw socket (no client library, mirroring how the server itself is built).
+// Telemetry plane: Prometheus text rendering and the telemetry pages served
+// by a NetServer. The rendering tests work on hand-built snapshots; the
+// server tests register the telemetry endpoints on a server bound to an
+// ephemeral loopback port and speak minimal HTTP/1.0 over a raw socket (no
+// client library, mirroring how the server itself is built).
 #include "obs/exporter.h"
 
 #include <arpa/inet.h>
@@ -10,13 +11,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 
+#include "net/server.h"
+#include "net/telemetry_endpoints.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span_store.h"
@@ -136,15 +135,17 @@ std::string Body(const std::string& response) {
 class ExporterServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ExporterOptions options;
+    ServerOptions options;
     options.port = 0;  // ephemeral
-    exporter_ = std::make_unique<TelemetryExporter>(options);
+    options.worker_threads = 1;
+    exporter_ = std::make_unique<NetServer>(options);
+    RegisterTelemetryEndpoints(exporter_.get());
     ASSERT_OK(exporter_->Start());
     ASSERT_TRUE(exporter_->running());
     ASSERT_NE(exporter_->port(), 0);
   }
 
-  std::unique_ptr<TelemetryExporter> exporter_;
+  std::unique_ptr<NetServer> exporter_;
 };
 
 TEST_F(ExporterServerTest, HealthzServes) {
@@ -235,10 +236,11 @@ TEST_F(ExporterServerTest, DebugTracesServesRetainedSpans) {
 TEST_F(ExporterServerTest, UnknownPathIs404AndQueryStringsAreStripped) {
   const std::string response = HttpGet(exporter_->port(), "/nope");
   EXPECT_NE(response.find("404"), std::string::npos);
-  // The 404 body doubles as endpoint discovery: all five must be listed.
+  // The 404 body doubles as endpoint discovery: all seven must be listed.
   const std::string body = Body(response);
   for (const char* endpoint :
-       {"/metrics", "/varz", "/healthz", "/debug/events", "/debug/traces"}) {
+       {"/metrics", "/varz", "/healthz", "/debug/events", "/debug/traces",
+        "/metrics/history", "/debug/health"}) {
     EXPECT_NE(body.find(endpoint), std::string::npos) << endpoint;
   }
   EXPECT_NE(HttpGet(exporter_->port(), "/healthz?x=1").find("200 OK"),
@@ -246,16 +248,16 @@ TEST_F(ExporterServerTest, UnknownPathIs404AndQueryStringsAreStripped) {
 }
 
 TEST_F(ExporterServerTest, StopIsIdempotentAndDoublePortBindFails) {
-  ExporterOptions clash;
+  ServerOptions clash;
   clash.port = exporter_->port();
-  TelemetryExporter second(clash);
+  NetServer second(clash);
   EXPECT_NOT_OK(second.Start());
   exporter_->Stop();
   exporter_->Stop();
   EXPECT_FALSE(exporter_->running());
 }
 
-/// Sends raw bytes to the exporter and returns the full response (the
+/// Sends raw bytes to the server and returns the full response (the
 /// malformed-request tests speak broken HTTP on purpose).
 std::string RawRequest(uint16_t port, const std::string& bytes) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -285,9 +287,8 @@ std::string RawRequest(uint16_t port, const std::string& bytes) {
   return response;
 }
 
-// The exporter inherits the NetServer request limits: a request line past
-// the bound is rejected with 431, not buffered without bound (the old
-// serial exporter accepted arbitrarily long request lines).
+// The telemetry pages inherit the NetServer request limits: a request line
+// past the bound is rejected with 431, not buffered without bound.
 TEST_F(ExporterServerTest, OversizedRequestLineRejectedWith431) {
   const std::string target = "/" + std::string(10000, 'a');
   const std::string response = RawRequest(
@@ -321,9 +322,8 @@ TEST_F(ExporterServerTest, NonGetMethodsRejected) {
   EXPECT_NE(response.find("405"), std::string::npos) << response;
 }
 
-// The old exporter handled connections serially: an idle client blocked
-// every scrape behind it. The event-loop server must answer a scrape while
-// another connection sits open and silent.
+// The event-loop server must answer a scrape while another connection sits
+// open and silent.
 TEST_F(ExporterServerTest, ScrapesAreNotBlockedByAnIdleConnection) {
   const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(idle, 0);
@@ -337,35 +337,6 @@ TEST_F(ExporterServerTest, ScrapesAreNotBlockedByAnIdleConnection) {
   const std::string response = HttpGet(exporter_->port(), "/healthz");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   ::close(idle);
-}
-
-TEST(ExporterSnapshotTest, PeriodicWriterAppendsValidJsonLines) {
-  const std::string path =
-      ::testing::TempDir() + "/tempspec_exporter_snapshot.jsonl";
-  std::remove(path.c_str());
-  ExporterOptions options;
-  options.port = 0;
-  options.snapshot_path = path;
-  options.snapshot_period_ms = 30;
-  {
-    TelemetryExporter exporter(options);
-    ASSERT_OK(exporter.Start());
-    // First snapshot is written on startup; wait for at least one more.
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    ASSERT_OK_AND_ASSIGN(testing::JsonValue v, JsonParser::Parse(line));
-    EXPECT_TRUE(v.is_object());
-    EXPECT_TRUE(v.has("unix_micros"));
-    EXPECT_TRUE(v.has("metrics"));
-  }
-  EXPECT_GE(lines, 2u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

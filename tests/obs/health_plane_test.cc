@@ -43,9 +43,27 @@ TEST(MetricsHistoryTest, SampleOnceAppendsATimestampedDigest) {
   // Entries() returns the ring by value; copy the element before the
   // temporary vector dies.
   const HistorySample sample = history.Entries().back();
-  const auto it = sample.counters.find("history_test.pinged");
-  ASSERT_NE(it, sample.counters.end());
+  const auto it = sample.metrics.counters.find("history_test.pinged");
+  ASSERT_NE(it, sample.metrics.counters.end());
   EXPECT_GE(it->second, 1u);
+}
+
+TEST(MetricsHistoryTest, SampleLineFormatIsPinned) {
+  // /metrics/history and SHOW HISTORY print this line: the scrape's own JSON
+  // with the sample time as its first key.
+  HistorySample sample;
+  sample.unix_micros = 5;
+  sample.metrics.counters["a"] = 1;
+  sample.metrics.gauges["g"] = -2;
+  HistogramSnapshot h;
+  h.count = 2;
+  h.sum = 3;
+  h.buckets = {{1, 1}, {2, 1}};
+  sample.metrics.histograms["h"] = h;
+  EXPECT_EQ(sample.ToJson(),
+            "{\"unix_micros\":5,\"counters\":{\"a\":1},\"gauges\":{\"g\":-2},"
+            "\"histograms\":{\"h\":{\"count\":2,\"sum\":3,\"p50\":1,"
+            "\"p99\":3}}}");
 }
 
 TEST(MetricsHistoryTest, RingEvictsOldestAndCountsTotals) {

@@ -410,6 +410,7 @@ TEST(RelationTest, FailedVacuumLeavesTheRelationReadable) {
   ASSERT_OK_AND_ASSIGN(ElementSurrogate b,
                        rel->InsertEvent(2, T(905), b_attributes));
   ASSERT_OK(rel->LogicalDelete(a));
+  EXPECT_EQ(rel->GetStats().backlog_operations, 3u);
 
   // Every page write fails, more times than storage retries a transient
   // error, so the compacted backlog cannot be written.
@@ -421,6 +422,9 @@ TEST(RelationTest, FailedVacuumLeavesTheRelationReadable) {
   FailpointRegistry::Instance().DisarmAll();
   EXPECT_FALSE(vacuum.ok());
 
+  // The backlog still describes the history the relation holds: the
+  // compacted list is adopted only once its side file is renamed in.
+  EXPECT_EQ(rel->GetStats().backlog_operations, 3u);
   EXPECT_EQ(rel->size(), 2u);
   ASSERT_OK_AND_ASSIGN(Element ea, rel->GetElement(a));
   EXPECT_EQ(ea.attributes, a_attributes);

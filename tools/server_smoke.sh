@@ -1,15 +1,26 @@
 #!/usr/bin/env bash
 # Smoke check for the network query plane: start tempspec_serve on an
-# ephemeral port with a fresh data dir, then drive the full surface live —
-# DDL + INSERT + queries over HTTP, ping and a deadline-tagged query over
-# the TSP1 binary frame protocol (via a small python client), a telemetry
-# scrape, and a restart that must recover the inserted data through the WAL.
+# ephemeral port with a fresh data dir, the metrics history sampler and one
+# declared SLO, then drive the full surface live — DDL + INSERT + queries
+# over HTTP, ping and a deadline-tagged query over the TSP1 binary frame
+# protocol (via a small python client), every telemetry page, and a restart
+# that must recover the inserted data through the WAL.
+#
+# Each of the seven telemetry pages is validated and must be non-empty:
+# /healthz, /metrics (check_metrics_text.py, incl. the labeled
+# tempspec_query_latency series), /varz (JSON with the build stamp),
+# /debug/events (check_flight_json.py), /debug/traces (at least one sampled
+# span), /debug/health (check_health_json.py: the declared SLO and a latency
+# series) and /metrics/history (check_health_json.py: at least one sample).
+# The fatal-signal flight dump is checked by the server_crash_test case
+# FatalSignalDumpsFlightRecorderThatValidates.
 #
 # Usage: tools/server_smoke.sh [build_dir]   (default: build)
 set -u
 
 BUILD_DIR="${1:-build}"
 SERVE="$BUILD_DIR/tools/tempspec_serve"
+TOOLS="$(dirname "$0")"
 
 if [ ! -x "$SERVE" ]; then
   echo "no tempspec_serve binary at $SERVE (build with the default CMake config first)" >&2
@@ -28,6 +39,7 @@ trap cleanup EXIT
 start_server() {
   rm -f "$PORT_FILE"
   "$SERVE" --port=0 --data-dir="$DATA_DIR" --portfile="$PORT_FILE" \
+      --history-ms=50 --slo=smoke_readings=1000 \
       > "$OUT_DIR/serve.out" 2>&1 &
   SERVE_PID=$!
   port=""
@@ -77,17 +89,74 @@ check "bad statement is 4xx" \
   "$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "BOGUS" \
       "http://127.0.0.1:$port/query")" "^400$"
 
-# Telemetry rides the same port: the scrape must carry the server counters.
-if ! curl -sf "http://127.0.0.1:$port/metrics" -o "$OUT_DIR/metrics.txt"; then
-  echo "/metrics: FAIL: curl error"
+# Telemetry rides the same port. The pages are scraped after the statements
+# above, so each must describe them.
+scrape() {  # scrape <target> <file>; counts a failure on a curl error
+  curl -sf "http://127.0.0.1:$port$1" -o "$OUT_DIR/$2" && return 0
+  echo "$1: FAIL: curl error"
   failures=$((failures + 1))
-else
-  python3 "$(dirname "$0")/check_metrics_text.py" "$OUT_DIR/metrics.txt" \
+  return 1
+}
+
+if scrape /metrics metrics.txt; then
+  python3 "$TOOLS/check_metrics_text.py" "$OUT_DIR/metrics.txt" \
     || failures=$((failures + 1))
-  if ! grep -q "^server_requests " "$OUT_DIR/metrics.txt"; then
-    echo "/metrics: FAIL: no server_requests sample in the scrape"
-    failures=$((failures + 1))
-  fi
+  for sample in "server_requests " "querylang_statements " \
+                "tempspec_query_latency_bucket{"; do
+    if ! grep -q "^$sample" "$OUT_DIR/metrics.txt"; then
+      echo "/metrics: FAIL: no '$sample' sample in the scrape"
+      failures=$((failures + 1))
+    fi
+  done
+fi
+
+if scrape /varz varz.json; then
+  python3 - "$OUT_DIR/varz.json" <<'EOF' || failures=$((failures + 1))
+import json, sys
+try:
+    build = json.load(open(sys.argv[1], encoding="utf-8"))["build"]
+    assert "compiler" in build and "sanitizers" in build, build
+except (ValueError, KeyError, AssertionError) as e:
+    sys.exit(f"/varz: FAIL: {e!r}")
+print("/varz: OK")
+EOF
+fi
+
+if scrape /debug/events events.jsonl; then
+  python3 "$TOOLS/check_flight_json.py" --min-events 1 "$OUT_DIR/events.jsonl" \
+    || failures=$((failures + 1))
+fi
+
+if scrape /debug/traces traces.jsonl; then
+  python3 - "$OUT_DIR/traces.jsonl" <<'EOF' || failures=$((failures + 1))
+import json, sys
+spans = 0
+try:
+    for line in open(sys.argv[1], encoding="utf-8"):
+        span = json.loads(line)
+        assert "trace_id" in span and "trace" in span, line
+        spans += 1
+    assert spans >= 1, "no sampled span"
+except (ValueError, AssertionError) as e:
+    sys.exit(f"/debug/traces: FAIL: {e!r}")
+print(f"/debug/traces: OK ({spans} sampled span(s))")
+EOF
+fi
+
+if scrape /debug/health health.json; then
+  python3 "$TOOLS/check_health_json.py" --health --min-slos 1 --min-series 1 \
+    "$OUT_DIR/health.json" || failures=$((failures + 1))
+fi
+
+# The sampler ticks every 50 ms; wait up to 5 s for its first sample.
+for _ in $(seq 1 50); do
+  scrape /metrics/history history.jsonl || break
+  [ -s "$OUT_DIR/history.jsonl" ] && break
+  sleep 0.1
+done
+if [ -f "$OUT_DIR/history.jsonl" ]; then
+  python3 "$TOOLS/check_health_json.py" --history --min-samples 1 \
+    "$OUT_DIR/history.jsonl" || failures=$((failures + 1))
 fi
 
 # The TSP1 binary frame protocol on the same port: ping/pong round-trip and
@@ -157,4 +226,4 @@ if [ $failures -ne 0 ]; then
   echo "server smoke: $failures failure(s)"
   exit 1
 fi
-echo "server smoke: HTTP + binary protocols, telemetry, and WAL recovery all live"
+echo "server smoke: HTTP + binary protocols, all seven telemetry pages, and WAL recovery all live"

@@ -31,15 +31,15 @@
 //                           (TEMPSPEC_SERVE_SLO); surfaced via
 //                           /debug/health and SHOW HEALTH
 //
-// A numeric value, flag or environment, must be all decimal digits and fit
-// its setting (a port at most 65535); anything else prints the usage and
-// exits with status 2, as an unknown flag does.
-//
 // Every request span is offered to the span store (obs/span_store.h):
 // TEMPSPEC_SLOWLOG_MICROS and TEMPSPEC_SLOWLOG_PATH set its slow view (SHOW
 // SLOW QUERIES, the JSONL sink), TEMPSPEC_TRACE_SAMPLE its sampled view
 // (SHOW TRACES, /debug/traces), and TEMPSPEC_TRACE_CAPACITY the spans kept
-// per view.
+// per view (at most 1048576; 0 keeps the default).
+//
+// A numeric value, flag or environment, must be all decimal digits and fit
+// its setting (a port at most 65535); anything else prints the usage and
+// exits with status 2, as an unknown flag does.
 //
 // SIGINT/SIGTERM stop the daemon gracefully: in-flight statements are
 // cancelled through their deadlines' TraceContexts, completions drain, and
@@ -99,6 +99,10 @@ struct ServeConfig {
   uint64_t max_deadline_ms = 60 * 1000;
   uint64_t history_ms = 0;
   std::string slo_spec;
+  // The span store's settings; the defaults are the store's own.
+  uint64_t slowlog_micros = tempspec::SpanStore::Instance().threshold_micros();
+  uint64_t trace_sample = tempspec::SpanStore::Instance().sample_every();
+  uint64_t trace_capacity = 0;
 };
 
 void Usage(const char* argv0) {
@@ -114,8 +118,8 @@ void Usage(const char* argv0) {
 bool ParseArgs(int argc, char** argv, ServeConfig* config) {
   constexpr uint64_t kSizeMax = std::numeric_limits<size_t>::max();
   constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
-  // Every numeric setting: its flag, its environment variable (if any), and
-  // the largest value it accepts.
+  // Every numeric setting: its flag (if any), its environment variable (if
+  // any), and the largest value it accepts.
   const struct {
     const char* flag;
     const char* env;
@@ -131,6 +135,10 @@ bool ParseArgs(int argc, char** argv, ServeConfig* config) {
       {"--max-deadline-ms", nullptr, kU64Max, &config->max_deadline_ms},
       {"--history-ms", "TEMPSPEC_SERVE_HISTORY_MS", kU64Max,
        &config->history_ms},
+      {nullptr, "TEMPSPEC_SLOWLOG_MICROS", kU64Max, &config->slowlog_micros},
+      {nullptr, "TEMPSPEC_TRACE_SAMPLE", kU64Max, &config->trace_sample},
+      // The flight recorder's cap.
+      {nullptr, "TEMPSPEC_TRACE_CAPACITY", 1u << 20, &config->trace_capacity},
   };
   const auto bad_number = [argv](const char* name, const std::string& text) {
     std::fprintf(stderr, "invalid number '%s' for %s\n", text.c_str(), name);
@@ -158,7 +166,9 @@ bool ParseArgs(int argc, char** argv, ServeConfig* config) {
         eq == std::string::npos ? "" : arg.substr(eq + 1);
     const auto setting =
         std::find_if(std::begin(numeric), std::end(numeric),
-                     [&key](const auto& n) { return key == n.flag; });
+                     [&key](const auto& n) {
+                       return n.flag != nullptr && key == n.flag;
+                     });
     if (setting != std::end(numeric)) {
       if (!ParseNumber(value, setting->max, setting->value)) {
         return bad_number(setting->flag, value);
@@ -192,7 +202,11 @@ int main(int argc, char** argv) {
   // The telemetry plane shares this process: the span store's slow
   // threshold and retention, and the fatal-signal flight dump all honor
   // their usual env.
-  tempspec::SpanStore::Instance().ConfigureFromEnv();
+  tempspec::SpanStore& spans = tempspec::SpanStore::Instance();
+  spans.SetThresholdMicros(config.slowlog_micros);
+  spans.SetSampleEvery(config.trace_sample);
+  if (config.trace_capacity > 0) spans.SetCapacity(config.trace_capacity);
+  spans.SetSinkPath(EnvOr("TEMPSPEC_SLOWLOG_PATH", ""));
   tempspec::FlightRecorder::MaybeInstallFromEnv();
 
   // The health plane: declared objectives plus the sampler thread that
